@@ -470,16 +470,13 @@ let lint_bench () =
 
 (* Cost-model hot path: evaluations/sec of the allocation-free evaluator
    (full and score-only) against the frozen pre-PR evaluator (Model_ref) on
-   the registry's hardest kernels, min-of-N interleaved-free reps, plus the
-   footprint-probe memo cold vs memoized on an optimizer-like access
-   pattern. Persists everything to BENCH_evaluate.json and exits non-zero
-   unless the hardest kernel clears the 2x evaluations/sec gate and every
+   the registry's hardest kernels, min-of-N interleaved-free reps.
+   Persists everything to BENCH_evaluate.json and exits non-zero unless
+   the hardest kernel clears the 2x evaluations/sec gate and every
    kernel's costs are bit-identical across evaluators. *)
 let evaluate_bench () =
-  let module W = Sun_tensor.Workload in
   let module Model = Sun_cost.Model in
   let module Ref = Sun_cost.Model_ref in
-  let module Probe = Sun_cost.Probe in
   let module Json = Sun_serve.Json in
   let arch_name = "conventional" in
   let arch = Sun_arch.Presets.conventional in
@@ -543,51 +540,10 @@ let evaluate_bench () =
         let speedup_full = full_eps /. ref_eps in
         let speedup_score = score_eps /. ref_eps in
         if name = hardest then gate_speedup := speedup_score;
-        (* probe memo, cold vs warm: the optimizer's fit-test pattern — a
-           small pool of candidate extent vectors probed for every operand,
-           revisited many times within one search scope *)
-        let dims = Array.of_list (W.dim_names w) in
-        let dim_idx = Hashtbl.create 16 in
-        Array.iteri (fun i d -> Hashtbl.replace dim_idx d i) dims;
-        let nvec = 64 in
-        let pool =
-          Array.init nvec (fun v ->
-              Array.mapi (fun i _ -> 1 + ((v + i) mod 4)) dims)
-        in
-        let ops = List.map (fun (op : W.operand) -> op.W.name) w.W.operands in
-        let probe_rounds = 200 in
-        let run_probes probe =
-          for _ = 1 to probe_rounds do
-            Array.iter
-              (fun vec ->
-                Probe.set_extents probe (fun d -> vec.(Hashtbl.find dim_idx d));
-                List.iter (fun op -> ignore (Probe.footprint probe ~op ~level:0)) ops)
-              pool
-          done
-        in
-        let nprobes = probe_rounds * nvec * List.length ops in
-        let probes_once probe =
-          let t0 = Unix.gettimeofday () in
-          run_probes probe;
-          Unix.gettimeofday () -. t0
-        in
-        let cold = Probe.create ~memo:false w in
-        let warm = Probe.create ~memo:true w in
-        let cold_best = ref infinity and warm_best = ref infinity in
-        for _ = 1 to reps do
-          cold_best := Float.min !cold_best (probes_once cold);
-          warm_best := Float.min !warm_best (probes_once warm)
-        done;
-        let cold_pps = float_of_int nprobes /. !cold_best in
-        let warm_pps = float_of_int nprobes /. !warm_best in
-        let hits = Probe.hits warm and misses = Probe.misses warm in
         Printf.printf
           "  %-5s ref %9.0f/s  full %9.0f/s (%.2fx)  score %9.0f/s (%.2fx)  %s\n%!" name
           ref_eps full_eps speedup_full score_eps speedup_score
           (if identical then "bit-identical" else "COSTS DIFFER");
-        Printf.printf
-          "        probes cold %9.0f/s  memoized %9.0f/s (%.2fx)  %d hits / %d misses\n%!"
-          cold_pps warm_pps (warm_pps /. cold_pps) hits misses;
         Json.Obj
           [
             ("kernel", Json.String name);
@@ -598,14 +554,6 @@ let evaluate_bench () =
             ("speedup_full", Json.Float speedup_full);
             ("speedup_score", Json.Float speedup_score);
             ("bit_identical", Json.Bool identical);
-            ( "probe",
-              Json.Obj
-                [
-                  ("cold_probes_per_s", Json.Float cold_pps);
-                  ("memoized_probes_per_s", Json.Float warm_pps);
-                  ("hits", Json.Int hits);
-                  ("misses", Json.Int misses);
-                ] );
           ])
       kernel_names
   in

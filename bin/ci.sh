@@ -196,32 +196,6 @@ if ! [ -s BENCH_evaluate.json ]; then
   exit 1
 fi
 
-echo "== probe memo parity (SUNSTONE_PROBE_MEMO=off vs default, mixed batch)"
-# The footprint memo must be invisible in every emitted cost record: a
-# batch run with the memo disabled has to produce byte-identical
-# responses, modulo wall_s timings.
-set +e
-SUNSTONE_PROBE_MEMO=off dune exec bin/sunstone_cli.exe -- batch \
-  -i test/fixtures/batch_mixed.jsonl \
-  -o "$PARITY_TMP/memo-off.jsonl" --cache-dir "$PARITY_TMP/cache-memo-off" --jobs 1 2>/dev/null
-off_rc=$?
-dune exec bin/sunstone_cli.exe -- batch \
-  -i test/fixtures/batch_mixed.jsonl \
-  -o "$PARITY_TMP/memo-on.jsonl" --cache-dir "$PARITY_TMP/cache-memo-on" --jobs 1 2>/dev/null
-on_rc=$?
-set -e
-if [ "$off_rc" -ne "$on_rc" ]; then
-  echo "memo parity: exit codes differ (memo off: $off_rc, memo on: $on_rc)" >&2
-  exit 1
-fi
-sed -E 's/"wall_s":[-+0-9.eE]+/"wall_s":0/g' "$PARITY_TMP/memo-off.jsonl" >"$PARITY_TMP/memo-off.norm"
-sed -E 's/"wall_s":[-+0-9.eE]+/"wall_s":0/g' "$PARITY_TMP/memo-on.jsonl" >"$PARITY_TMP/memo-on.norm"
-if ! diff -u "$PARITY_TMP/memo-off.norm" "$PARITY_TMP/memo-on.norm"; then
-  echo "memo parity: memoized responses differ from memo-off baseline" >&2
-  exit 1
-fi
-echo "memo parity: ok ($(wc -l <"$PARITY_TMP/memo-on.norm" | tr -d ' ') responses identical)"
-
 echo "== transfer-off parity (SUNSTONE_TRANSFER=off vs committed golden fixture)"
 # The warm-start kill switch must restore pre-transfer behavior exactly:
 # with SUNSTONE_TRANSFER=off the batch pipeline's responses are pinned

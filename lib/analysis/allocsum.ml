@@ -76,7 +76,7 @@ let in_expr_position (toks : L.token array) lo i =
   done;
   !verdict = 1 || (!verdict = 0 && !j < lo)
 
-(* Allocation-shaped stdlib calls, [Module.func] form. The probe and heap
+(* Allocation-shaped stdlib calls, [Module.func] form. The evaluator and heap
    hot paths earn inline allows where they genuinely need one of these. *)
 let qualified_alloc m f =
   match m with

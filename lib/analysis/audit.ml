@@ -6,7 +6,6 @@ module Opt = Sun_core.Optimizer
 module Trie = Sun_core.Order_trie
 module Tile_tree = Sun_core.Tile_tree
 module Mapspace = Sun_search.Mapspace
-module Probe = Sun_cost.Probe
 module Factor = Sun_util.Factor
 module Listx = Sun_util.Listx
 module D = Diagnostic
@@ -32,24 +31,21 @@ let rel_tol = 1e-9
 (* ------------------------------------------------------------------ *)
 
 (* Same semantic probe as [Pruning]: growing dim [d] changes operand
-   [op]'s footprint iff [d] indexes it. The memoized [Probe] serves it —
-   its footprint arithmetic mirrors [W.footprint] directly (bit-identical,
-   pinned by QCheck), so the oracle still derives reuse from the projection
-   arithmetic and not from the trie's or the evaluator's tables. One probe
-   per audit scope: the scan re-asks the same (operand, dim) questions for
-   every order and every suffix. *)
-let probe_changes_footprint probe (op : W.operand) d =
-  Probe.changes_footprint probe ~op:op.W.name ~dim:d
+   [op]'s footprint iff [d] indexes it. Two direct [W.footprint]
+   evaluations, so the oracle derives reuse from the projection arithmetic
+   and not from the trie's or the evaluator's tables. *)
+let probe_changes_footprint (op : W.operand) d =
+  W.footprint (fun d' -> if d' = d then 2 else 1) op <> W.footprint (fun _ -> 1) op
 
 (* Per-operand reuse an innermost-first dim sequence earns: the fully
    reused dims absorbed before the first footprint-changing one, plus a
    partial-reuse flag when that blocker is a sliding-window dim. *)
-let scan_reuse probe (op : W.operand) innermost_first =
+let scan_reuse (op : W.operand) innermost_first =
   let sliding = W.sliding_dims op in
   let rec go full = function
     | [] -> (List.sort String.compare full, false)
     | d :: rest ->
-      if not (probe_changes_footprint probe op d) then go (d :: full) rest
+      if not (probe_changes_footprint op d) then go (d :: full) rest
       else (List.sort String.compare full, List.mem d sliding)
   in
   go [] innermost_first
@@ -58,10 +54,10 @@ type rich_sig = (string * (string list * bool)) list
 (** per operand name: (sorted full-reuse dims, partial flag); only operands
     with some reuse appear, sorted by name. *)
 
-let rich_sig_of_seq probe (w : W.t) innermost_first : rich_sig =
+let rich_sig_of_seq (w : W.t) innermost_first : rich_sig =
   List.filter_map
     (fun (op : W.operand) ->
-      let full, partial = scan_reuse probe op innermost_first in
+      let full, partial = scan_reuse op innermost_first in
       if full = [] && not partial then None else Some (op.W.name, (full, partial)))
     w.W.operands
   |> List.sort compare
@@ -125,7 +121,7 @@ let best_with_order w ctx space pi =
 (* Ordering audit (SA031 / SA032)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let audit_orders ~inject probe w ctx space ~exhaustive_edp =
+let audit_orders ~inject w ctx space ~exhaustive_edp =
   let diags = ref [] in
   let add d = diags := !diags @ [ d ] in
   let dims = W.dim_names w in
@@ -133,10 +129,10 @@ let audit_orders ~inject probe w ctx space ~exhaustive_edp =
   let candidates = Trie.candidates w in
   let cand_sigs =
     List.map
-      (fun (c : Trie.candidate) -> (c, rich_sig_of_seq probe w (List.rev c.Trie.order)))
+      (fun (c : Trie.candidate) -> (c, rich_sig_of_seq w (List.rev c.Trie.order)))
       candidates
   in
-  let order_sigs = List.map (fun pi -> (pi, rich_sig_of_seq probe w (List.rev pi))) all_orders in
+  let order_sigs = List.map (fun pi -> (pi, rich_sig_of_seq w (List.rev pi))) all_orders in
   let dominators s = List.filter (fun (_, cs) -> sig_leq s cs) cand_sigs in
   (* injection: drop a candidate that is the sole dominator of some order
      (guaranteeing a subsumption hole); if redundancy covers everything,
@@ -198,7 +194,7 @@ let string_of_point pt =
 let point_leq grow a b =
   List.for_all (fun d -> Tile_tree.factor_of a d <= Tile_tree.factor_of b d) grow
 
-let audit_frontier ~inject probe w a =
+let audit_frontier ~inject w a =
   let diags = ref [] in
   let add d = diags := !diags @ [ d ] in
   let checked = ref 0 in
@@ -212,8 +208,7 @@ let audit_frontier ~inject probe w a =
         let grow = W.indexing_dims op in
         if grow <> [] && part.A.capacity_words > 0 then begin
           let fits asg =
-            Probe.footprint_of probe ~op:op.W.name ~level:0 (fun d -> Tile_tree.factor_of asg d)
-            <= cap +. 1e-9
+            W.footprint (fun d -> Tile_tree.factor_of asg d) op <= cap +. 1e-9
           in
           let remaining d = W.bound w d in
           let outcome = Tile_tree.search ~grow_dims:grow ~remaining ~fits () in
@@ -351,15 +346,11 @@ let kernels () =
 let check_kernel ?(inject = No_injection) (name, w, a) =
   let ctx = Model.context w a in
   let space = Mapspace.create w a in
-  (* one probe per kernel audit: orders and frontier re-ask the same
-     (operand, vector) footprints many times over *)
-  let probe = Probe.create w in
   let exhaustive_edp, enumerated = exhaustive_best ctx space in
   let orders_total, orders_kept, order_diags =
-    audit_orders ~inject probe w ctx space ~exhaustive_edp
+    audit_orders ~inject w ctx space ~exhaustive_edp
   in
-  let frontier_checked, frontier_diags = audit_frontier ~inject probe w a in
-  Probe.flush_telemetry probe;
+  let frontier_checked, frontier_diags = audit_frontier ~inject w a in
   let search_edp, best_diags = audit_best w a ~exhaustive_edp ~enumerated in
   {
     kernel = name;
@@ -403,16 +394,15 @@ let recheck ?binding w a m ~claimed_energy ~claimed_edp =
         in
         drift "energy" claimed_energy cost.Model.energy_pj @ drift "EDP" claimed_edp cost.Model.edp
     in
-    let probe = Probe.create w in
     let cand_sigs =
-      List.map (fun (c : Trie.candidate) -> rich_sig_of_seq probe w (List.rev c.Trie.order))
+      List.map (fun (c : Trie.candidate) -> rich_sig_of_seq w (List.rev c.Trie.order))
         (Trie.candidates w)
     in
     let order_diags =
       List.concat
         (List.mapi
            (fun l (lm : M.level_mapping) ->
-             let s = rich_sig_of_seq probe w (List.rev lm.M.order) in
+             let s = rich_sig_of_seq w (List.rev lm.M.order) in
              if List.exists (fun cs -> sig_leq s cs) cand_sigs then []
              else
                [
@@ -423,6 +413,5 @@ let recheck ?binding w a m ~claimed_energy ~claimed_edp =
                ])
            (Array.to_list m.M.levels))
     in
-    Probe.flush_telemetry probe;
-    legality @ cost_diags @ order_diags
+      legality @ cost_diags @ order_diags
   end

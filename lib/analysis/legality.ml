@@ -1,6 +1,7 @@
 module W = Sun_tensor.Workload
 module A = Sun_arch.Arch
 module M = Sun_mapping.Mapping
+module Model = Sun_cost.Model
 module D = Diagnostic
 
 let check_levels ?arch (w : W.t) (levels : M.level_mapping list) =
@@ -89,6 +90,7 @@ let check ?(binding = Fun.id) (w : W.t) (a : A.t) (m : M.t) =
       (D.error D.Level_mismatch
          (Printf.sprintf "mapping has %d levels, architecture %s has %d" (M.num_levels m)
             a.A.arch_name (A.num_levels a)));
+  let ctx = Model.context ~binding w a in
   for li = 0 to nlevels - 1 do
     let lvl = A.level a li in
     (* spatial unrolling within the PE-array fanout *)
@@ -98,25 +100,18 @@ let check ?(binding = Fun.id) (w : W.t) (a : A.t) (m : M.t) =
         (D.error ~level:li D.Unroll_overflow
            (Printf.sprintf "level %s unrolls %d spatial instances, fanout is %d" lvl.A.level_name
               sp lvl.A.fanout));
-    (* per-partition tile footprints within buffer capacities *)
-    if not lvl.A.unbounded then
-      List.iter
-        (fun (p : A.partition) ->
-          let stored =
-            List.filter
-              (fun (op : W.operand) ->
-                match A.partition_for lvl ~role:(binding op.W.name) with
-                | Some p' -> p'.A.part_name = p.A.part_name
-                | None -> false)
-              w.W.operands
-          in
-          let used = Sun_util.Listx.sum_by (M.footprint_at w m ~level:li) stored in
-          if used > float_of_int p.A.capacity_words +. 1e-9 then
-            add
-              (D.error ~level:li ~partition:p.A.part_name D.Capacity_overflow
-                 (Printf.sprintf "tile footprint %.0f words exceeds capacity %d of partition %s"
-                    used p.A.capacity_words p.A.part_name)))
-        lvl.A.partitions
+    (* per-partition tile footprints within buffer capacities: the cost
+       model's capacity kernel, so the checker and the search agree *)
+    let tile = Model.extent_vector ctx (fun d -> M.tile_at m ~level:li d) in
+    List.iter
+      (function
+        | Model.Capacity { partition; footprint; capacity; _ } ->
+          add
+            (D.error ~level:li ~partition D.Capacity_overflow
+               (Printf.sprintf "tile footprint %.0f words exceeds capacity %d of partition %s"
+                  footprint capacity partition))
+        | _ -> ())
+      (Model.over_capacity_ctx ctx ~level:li tile)
   done;
   List.rev !diags
 

@@ -1,10 +1,10 @@
 (** Mapping legality (pass 1): is a mapping a lawful schedule of a workload
     on an architecture?
 
-    Two entry points, both independent reimplementations of the invariants
-    scattered across [Mapping.make] and the cost model's [validate] — the
-    point of a static checker is to re-derive the rules, not to call the
-    code under check:
+    Two entry points. The structural rules are re-derived here,
+    independently of [Mapping.make]; the capacity rule is the cost model's
+    own kernel ({!Sun_cost.Model.over_capacity_ctx}), its one owner, so a
+    mapping the checker passes is one the search and the evaluator accept:
 
     - {!check_levels} works on *raw* level mappings (e.g. freshly decoded
       from user JSON, before [Mapping.make] has seen them) and reports

@@ -1,7 +1,6 @@
 module W = Sun_tensor.Workload
 module Reuse = Sun_tensor.Reuse
 module Trie = Sun_core.Order_trie
-module Probe = Sun_cost.Probe
 module D = Diagnostic
 
 type report = {
@@ -12,26 +11,23 @@ type report = {
 }
 
 (* Semantic probe: does growing dim [d] change operand [op]'s tile
-   footprint? Evaluated on the projection arithmetic itself (two footprint
-   evaluations), so it cannot agree with a buggy dim-name table by
-   construction. Probing at extent 2 vs 1 suffices: every axis extent is
-   affine in each dim extent with non-negative coefficients, so it either
-   never moves or moves already at 2. The evaluations go through the
-   check-scoped [Probe] memo — bit-identical to direct [W.footprint]
-   recomputation (pinned by QCheck), and a suffix scan re-probes the same
-   (operand, dim) pairs for every candidate. *)
-let probe_changes_footprint probe (op : W.operand) d =
-  Probe.changes_footprint probe ~op:op.W.name ~dim:d
+   footprint? Evaluated on the projection arithmetic itself (two
+   [W.footprint] evaluations), so it cannot agree with a buggy dim-name
+   table by construction. Probing at extent 2 vs 1 suffices: every axis
+   extent is affine in each dim extent with non-negative coefficients, so
+   it either never moves or moves already at 2. *)
+let probe_changes_footprint (op : W.operand) d =
+  W.footprint (fun d' -> if d' = d then 2 else 1) op <> W.footprint (fun _ -> 1) op
 
 (* Independent innermost-first reuse scan of a suffix for one operand,
    driven by the probe (full reuse) and the affine structure (partial
    reuse), mirroring the cost model's refill absorption. *)
-let scan_suffix probe (op : W.operand) suffix =
+let scan_suffix (op : W.operand) suffix =
   let sliding = W.sliding_dims op in
   let rec go full = function
     | [] -> (List.sort String.compare full, false)
     | d :: rest ->
-      if not (probe_changes_footprint probe op d) then go (d :: full) rest
+      if not (probe_changes_footprint op d) then go (d :: full) rest
       else if List.mem d sliding then (List.sort String.compare full, true)
       else (List.sort String.compare full, false)
   in
@@ -49,8 +45,6 @@ let check (w : W.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let dims = W.dim_names w in
-  (* one probe per check: the memo lives and dies with this scope *)
-  let probe = Probe.create w in
   let reuse = Reuse.analyze w in
   (* 1. the reuse table must agree with the footprint probe and partition
      the dims for every operand *)
@@ -61,7 +55,7 @@ let check (w : W.t) =
         (fun d ->
           let indexing = List.mem d e.Reuse.indexed_by in
           let reused = List.mem d e.Reuse.reused_by in
-          let changes = probe_changes_footprint probe op d in
+          let changes = probe_changes_footprint op d in
           if indexing && reused then
             add
               (D.error ~dim:d ~operand:op.W.name D.Pruning_unsound
@@ -99,7 +93,7 @@ let check (w : W.t) =
       let scans =
         List.filter_map
           (fun (op : W.operand) ->
-            let full, partial = scan_suffix probe op c.Trie.suffix in
+            let full, partial = scan_suffix op c.Trie.suffix in
             if full = [] && not partial then None else Some (op.W.name, (full, partial)))
           w.W.operands
       in
@@ -133,7 +127,7 @@ let check (w : W.t) =
               (fun d ->
                 if not (List.mem d grow) then begin
                   incr dropped_checked;
-                  if probe_changes_footprint probe op d then
+                  if probe_changes_footprint op d then
                     add
                       (D.error ~dim:d ~operand:op_name D.Pruning_unsound
                          (Printf.sprintf
@@ -144,7 +138,6 @@ let check (w : W.t) =
               dims)
         c.Trie.reused_operands)
     candidates;
-  Probe.flush_telemetry probe;
   {
     workload = w.W.name;
     orderings = List.length candidates;

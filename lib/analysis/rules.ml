@@ -888,8 +888,9 @@ let daemon_rules () =
   [
     fd_leak_rule ~exempt:no_exemption;
     signal_rule ~exempt:no_exemption;
-    (* cost joined serve in SA063's scope when the probe memo landed: the
-       memo tables must never be walked in iteration order either *)
+    (* cost shares serve's SA063 scope: the cost model's context resolves
+       dims and partition gids through hashtables, and their iteration
+       order must never leak into gid order or an emitted cost *)
     hashtbl_order_rule ~exempt:(fun p -> not (under_serve p || under_cost p));
     wallclock_rule ~exempt:(fun p ->
         (not (under_lib p)) || contains_sub p "stopwatch" || in_telemetry p);

@@ -42,24 +42,6 @@ let is_asymmetric_conv w =
   | Some r, Some s -> r <> s
   | _ -> false
 
-(* Occupied fraction of a level, computed directly from extents. *)
-let fill_fraction w arch binding ~level extent =
-  let lvl = A.level arch level in
-  let fraction_of (p : A.partition) =
-    if p.A.capacity_words = 0 then 1.0
-    else
-      let used =
-        List.fold_left
-          (fun acc (op : W.operand) ->
-            match A.partition_for lvl ~role:(binding op.W.name) with
-            | Some p' when p'.A.part_name = p.A.part_name -> acc +. W.footprint extent op
-            | _ -> acc)
-          0.0 w.W.operands
-      in
-      used /. float_of_int p.A.capacity_words
-  in
-  List.fold_left (fun acc p -> Float.max acc (fraction_of p)) 0.0 lvl.A.partitions
-
 let product a = List.fold_left (fun acc (_, f) -> acc * f) 1 a
 
 let run ?(config = fast) ?(binding = Fun.id) w arch =
@@ -93,17 +75,11 @@ let run ?(config = fast) ?(binding = Fun.id) w arch =
     in
     (* tile candidates at a memory level meeting the utilization floor *)
     let tile_choices ~level ~floor ~base remaining =
-      let fits a =
-        let extent d = base d * Tree.factor_of a d in
-        fill_fraction w arch binding ~level extent <= 1.0 +. 1e-9
-      in
+      let tile a = Model.extent_vector ctx (fun d -> base d * Tree.factor_of a d) in
+      let fits a = Model.fits_ctx ctx ~level (tile a) in
       let o = Tree.search ~max_steps:24 ~grow_dims:dims ~remaining ~fits () in
       examined := !examined + o.Tree.explored;
-      List.filter
-        (fun a ->
-          let extent d = base d * Tree.factor_of a d in
-          fill_fraction w arch binding ~level extent >= floor)
-        o.Tree.frontier
+      List.filter (fun a -> Model.fill_fraction_ctx ctx ~level (tile a) >= floor) o.Tree.frontier
     in
     let fill_levels assoc = List.map (fun d -> (d, Tree.factor_of assoc d)) dims in
     (* enumerate: spatial (innermost spatial level treated jointly for the

@@ -48,22 +48,6 @@ let run ?(config = default) ?(binding = Fun.id) w arch =
       end
     in
     let fill assoc = List.map (fun d -> (d, Tree.factor_of assoc d)) dims in
-    let fits_level ~level extent =
-      let lvl = A.level arch level in
-      lvl.A.unbounded
-      || List.for_all
-           (fun (p : A.partition) ->
-             let used =
-               List.fold_left
-                 (fun acc (op : W.operand) ->
-                   match A.partition_for lvl ~role:(binding op.W.name) with
-                   | Some p' when p'.A.part_name = p.A.part_name -> acc +. W.footprint extent op
-                   | _ -> acc)
-                 0.0 w.W.operands
-             in
-             used <= float_of_int p.A.capacity_words +. 1e-9)
-           lvl.A.partitions
-    in
     let try_mapping spatials tiles =
       let levels =
         Array.init num_levels (fun i ->
@@ -144,8 +128,8 @@ let run ?(config = default) ?(binding = Fun.id) w arch =
           else begin
             let base_here d = base d * s_at level d in
             let fits a =
-              let extent d = base_here d * Tree.factor_of a d in
-              fits_level ~level extent
+              Model.fits_ctx ctx ~level
+                (Model.extent_vector ctx (fun d -> base_here d * Tree.factor_of a d))
             in
             let o = Tree.search ~max_steps:24 ~grow_dims:dims ~remaining ~fits () in
             examined := !examined + o.Tree.explored;

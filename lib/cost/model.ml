@@ -88,6 +88,12 @@ type fscratch = {
   mutable f_esum : float;  (** eval_core's per-gid energy sum (pJ) *)
 }
 
+type violation =
+  | Level_count of { mapping : int; arch : int }
+  | Unstored of { operand : string }
+  | Fanout of { level : int; unrolled : int; fanout : int }
+  | Capacity of { level : int; partition : string; footprint : float; capacity : int }
+
 type ctx = {
   w : W.t;
   arch : A.t;
@@ -100,23 +106,25 @@ type ctx = {
   levels : A.level array;
   macs : float;
   operands : op_info array;
-  unstored : string option;  (** first operand stored at no level, if any *)
+  unstored : violation option;  (** first operand stored at no level, if any *)
   part_names : string array;  (** by gid *)
   part_level : int array;  (** by gid *)
   parts : A.partition array;  (** by gid *)
   nparts : int;
+  gid_lo : int array;
+      (** per level, plus one: level [l]'s gids are [gid_lo.(l) .. gid_lo.(l+1) - 1] *)
   (* per-context scratch; a context is single-in-flight: one evaluation
      uses it at a time (create one context per concurrent evaluator) *)
   lay : mlay;
   chain : int array;  (** chain_pair's served-extent row *)
   inst : float array;  (** instances per level for bandwidth scaling *)
   fs : fscratch;
-  sc_used : U.word U.count U.Arr.arr;  (** per gid, validation *)
+  sc_used : U.word U.count U.Arr.arr;  (** per gid: the capacity kernel's occupancy *)
   sc_energy : U.energy U.Arr.arr;  (** per gid *)
   sc_words : U.access U.count U.Arr.arr;  (** per gid *)
   sc_score : score;  (** the context-owned score [score_ctx] returns *)
   sc_score_ok : (score, string) result;  (** preallocated [Ok sc_score] *)
-  mutable sc_violation : string option;  (** first validation violation *)
+  mutable sc_violation : violation option;  (** first validation violation *)
   mutable sc_stopped : bool;  (** chain_pair's reuse-scan state *)
 }
 
@@ -146,6 +154,10 @@ let context ?(binding = Fun.id) w arch =
         lvl.A.partitions)
     levels;
   let nparts = !next_gid in
+  let gid_lo = Array.make (nlevels + 1) nparts in
+  for l = nlevels - 1 downto 0 do
+    gid_lo.(l) <- gid_lo.(l + 1) - List.length levels.(l).A.partitions
+  done;
   let op_info (op : W.operand) =
     let axes =
       Array.of_list
@@ -191,9 +203,7 @@ let context ?(binding = Fun.id) w arch =
     Array.fold_left
       (fun acc info ->
         if acc = None && Array.length info.storing = 0 then
-          Some
-            (Printf.sprintf "operand %s is stored at no level (no partition accepts its role)"
-               info.op.W.name)
+          Some (Unstored { operand = info.op.W.name })
         else acc)
       None operands
   in
@@ -215,6 +225,7 @@ let context ?(binding = Fun.id) w arch =
     part_level = Array.of_list (List.rev !levels_rev);
     parts = Array.of_list (List.rev !parts_rev);
     nparts;
+    gid_lo;
     lay =
       {
         t = Array.make_matrix nlevels ndims 1;
@@ -359,19 +370,6 @@ let footprint_into ctx (info : op_info) extents =
       *. float_of_int (axis_extent extents (Array.unsafe_get ad i) (Array.unsafe_get ac i))
   done
 
-(* Cold-path form returning the product; [level_fill_fraction] and friends
-   use it where a boxed float return does not matter. *)
-let footprint (info : op_info) extents =
-  let ad = info.axes_d and ac = info.axes_c in
-  let n = Array.length ad in
-  let rec go i acc =
-    if i >= n then acc
-    else
-      go (i + 1)
-        (acc *. float_of_int (axis_extent extents (Array.unsafe_get ad i) (Array.unsafe_get ac i)))
-  in
-  go 0 1.0
-
 let[@inline] spatial_product lay l = lay.sprod.(l)
 
 (* [part_at.(l)] is [Some _] exactly at the levels listed in [storing];
@@ -385,81 +383,127 @@ let part_ref_at (info : op_info) l =
     invalid_arg (Printf.sprintf "Model: operand %s has no partition at level %d" info.op.W.name l)
 
 (* ------------------------------------------------------------------ *)
+(* Capacity: the one owner of the Tiling Principle's fit rule           *)
+(* ------------------------------------------------------------------ *)
+
+(* The capacity kernel: the words each partition of [level] holds when
+   the level's tile has extents [ext] (indexed by dim id), summed into
+   [sc_used] by gid. Each gid's sum runs in operand order from zero — the
+   additions [Model_ref] makes — so occupancies are bit-identical to the
+   reference evaluator's. Every capacity verdict below derives from it. *)
+(* sunstone-hot *)
+let occupancy_into ctx ~level ext =
+  let used = ctx.sc_used in
+  for gid = ctx.gid_lo.(level) to ctx.gid_lo.(level + 1) - 1 do
+    U.Arr.set used gid U.zero
+  done;
+  for oi = 0 to Array.length ctx.operands - 1 do
+    let info = Array.unsafe_get ctx.operands oi in
+    match info.part_at.(level) with
+    | Some { gid; _ } ->
+      footprint_into ctx info ext;
+      U.Arr.set used gid U.(Arr.get used gid +: count ctx.fs.f_fp)
+    | None -> ()
+  done
+
+(* [U.gt] spelled out: the cross-module call boxes both float arguments
+   (the [@inline] hint is not honored without flambda) *)
+let[@inline] overflows ctx gid =
+  U.to_float (U.Arr.get ctx.sc_used gid) > float_of_int ctx.parts.(gid).A.capacity_words +. 1e-9
+
+let rec first_overflow ctx gid hi =
+  if gid >= hi then -1 else if overflows ctx gid then gid else first_overflow ctx (gid + 1) hi
+
+(* The first gid of [level] that extents [ext] overflow, or -1. Unbounded
+   levels (DRAM) hold any tile. *)
+let overflowing_gid ctx ~level ext =
+  if ctx.levels.(level).A.unbounded then -1
+  else begin
+    occupancy_into ctx ~level ext;
+    first_overflow ctx ctx.gid_lo.(level) ctx.gid_lo.(level + 1)
+  end
+
+(* sunstone-hot *)
+let fits_ctx ctx ~level ext = overflowing_gid ctx ~level ext < 0
+
+let fill_fraction_ctx ctx ~level ext =
+  occupancy_into ctx ~level ext;
+  let worst = ref 0.0 in
+  for gid = ctx.gid_lo.(level) to ctx.gid_lo.(level + 1) - 1 do
+    let cap = ctx.parts.(gid).A.capacity_words in
+    if cap > 0 then
+      worst := Float.max !worst (U.to_float (U.Arr.get ctx.sc_used gid) /. float_of_int cap)
+  done;
+  !worst
+
+(* Reads the occupancy [occupancy_into] just left in [sc_used]. *)
+let capacity_violation ctx gid =
+  let footprint = U.to_float (U.Arr.get ctx.sc_used gid) in
+  let capacity = ctx.parts.(gid).A.capacity_words in
+  (* sunstone-lint: allow SA070 rejected-candidate path only *)
+  Capacity { level = ctx.part_level.(gid); partition = ctx.part_names.(gid); footprint; capacity }
+
+let over_capacity_ctx ctx ~level ext =
+  if ctx.levels.(level).A.unbounded then []
+  else begin
+    occupancy_into ctx ~level ext;
+    let lo = ctx.gid_lo.(level) in
+    List.filter_map
+      (fun gid -> if overflows ctx gid then Some (capacity_violation ctx gid) else None)
+      (List.init (ctx.gid_lo.(level + 1) - lo) (fun i -> lo + i))
+  end
+
+let extent_vector ctx extent = Array.map extent ctx.dim_names
+
+(* The error text of a rejected mapping, as [validate] reports it. *)
+(* sunstone-cold *)
+let violation_message ctx = function
+  | Level_count { mapping; arch } ->
+    Printf.sprintf "mapping has %d levels, architecture has %d" mapping arch
+  | Unstored { operand } ->
+    Printf.sprintf "operand %s is stored at no level (no partition accepts its role)" operand
+  | Fanout { level; unrolled; fanout } ->
+    Printf.sprintf "level %s: spatial unrolling %d exceeds fanout %d"
+      ctx.levels.(level).A.level_name unrolled fanout
+  | Capacity { level; partition; footprint; capacity } ->
+    Printf.sprintf "partition %s at %s: footprint %.0f exceeds capacity %d" partition
+      ctx.levels.(level).A.level_name footprint capacity
+
+(* ------------------------------------------------------------------ *)
 (* Validation                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let rec first_fanout_overflow ctx lay l =
+  if l >= ctx.nlevels then -1
+  else if spatial_product lay l > ctx.levels.(l).A.fanout then l
+  else first_fanout_overflow ctx lay (l + 1)
+
+let rec first_capacity_overflow ctx lay l =
+  if l >= ctx.nlevels then -1
+  else
+    let gid = overflowing_gid ctx ~level:l lay.cum.(l) in
+    if gid >= 0 then gid else first_capacity_overflow ctx lay (l + 1)
+
+(* Records the first violation — an unstored operand, then fanout level by
+   level, then capacity gid by gid — in [sc_violation]; [true] when there
+   is none. A boolean, not a [result]: the accepted path allocates
+   nothing. *)
 let validate_lay ctx lay =
   ctx.sc_violation <- ctx.unstored;
-  for l = 0 to ctx.nlevels - 1 do
-    let lvl = ctx.levels.(l) in
-    let sp = spatial_product lay l in
-    if sp > lvl.A.fanout && ctx.sc_violation = None then
-      ctx.sc_violation <-
-        Some
-          (* sunstone-lint: allow SA070 rejected-candidate path only *)
-          (Printf.sprintf "level %s: spatial unrolling %d exceeds fanout %d" lvl.A.level_name sp
-             lvl.A.fanout)
-  done;
-  if ctx.sc_violation = None then begin
-    let used = ctx.sc_used in
-    U.Arr.fill used;
-    for oi = 0 to Array.length ctx.operands - 1 do
-      let info = ctx.operands.(oi) in
-      for l = 0 to ctx.nlevels - 1 do
-        match info.part_at.(l) with
-        | Some { gid; _ } ->
-          footprint_into ctx info lay.cum.(l);
-          U.Arr.set used gid U.(Arr.get used gid +: count ctx.fs.f_fp)
-        | None -> ()
-      done
-    done;
-    for gid = 0 to ctx.nparts - 1 do
-      let l = ctx.part_level.(gid) in
-      if not ctx.levels.(l).A.unbounded then begin
-        let p = ctx.parts.(gid) in
-        if
-          (* [U.gt] spelled out: the cross-module call boxes both float
-             arguments (the [@inline] hint is not honored without flambda) *)
-          U.to_float (U.Arr.get used gid) > float_of_int p.A.capacity_words +. 1e-9
-          && ctx.sc_violation = None
-        then
-          ctx.sc_violation <-
-            Some
-              (* sunstone-lint: allow SA070 rejected-candidate path only *)
-              (Printf.sprintf "partition %s at %s: footprint %.0f exceeds capacity %d"
-                 ctx.part_names.(gid) ctx.levels.(l).A.level_name
-                 (U.to_float (U.Arr.get used gid))
-                 p.A.capacity_words)
-      end
-    done
-  end;
-  match ctx.sc_violation with None -> Ok () | Some msg -> Error msg
-
-let validate_ctx ctx m =
-  if M.num_levels m <> ctx.nlevels then
-    Error
-      (Printf.sprintf "mapping has %d levels, architecture has %d" (M.num_levels m) ctx.nlevels)
-  else validate_lay ctx (convert_into ctx m)
-
-let level_fill_fraction_ctx ctx m ~level =
-  let lay = convert_into ctx m in
-  let lvl = ctx.levels.(level) in
-  let worst = ref 0.0 in
-  List.iter
-    (fun (p : A.partition) ->
-      if p.A.capacity_words > 0 then begin
-        let used = ref 0.0 in
-        Array.iter
-          (fun info ->
-            match info.part_at.(level) with
-            | Some { part; _ } when part.A.part_name = p.A.part_name ->
-              used := !used +. footprint info lay.cum.(level)
-            | _ -> ())
-          ctx.operands;
-        worst := Float.max !worst (!used /. float_of_int p.A.capacity_words)
-      end)
-    lvl.A.partitions;
-  !worst
+  (match ctx.unstored with
+  | Some _ -> ()
+  | None ->
+    let l = first_fanout_overflow ctx lay 0 in
+    if l >= 0 then begin
+      let unrolled = spatial_product lay l and fanout = ctx.levels.(l).A.fanout in
+      (* sunstone-lint: allow SA070 rejected-candidate path only *)
+      ctx.sc_violation <- Some (Fanout { level = l; unrolled; fanout })
+    end
+    else begin
+      let gid = first_capacity_overflow ctx lay 0 in
+      if gid >= 0 then ctx.sc_violation <- Some (capacity_violation ctx gid)
+    end);
+  match ctx.sc_violation with None -> true | Some _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Access counting                                                      *)
@@ -755,23 +799,25 @@ let tel_rejected = Sun_telemetry.Metrics.counter "model.evaluate_rejected"
 
 (* Shared evaluate/score front end without telemetry, so the batch entry
    points can count once per batch. Returns [true] when the converted
-   layout (in [ctx.lay]) validated; on [false] the violation is readable
-   through [violation_message]. A boolean instead of [(mlay, string) result]
+   layout (in [ctx.lay]) validated; on [false] the violation is in
+   [ctx.sc_violation]. A boolean instead of [(mlay, string) result]
    because the [Ok lay] wrapper was the last per-call allocation of the
    accepted score path. *)
 let prepare ctx m =
   if M.num_levels m <> ctx.nlevels then begin
     ctx.sc_violation <-
-      Some
-        (* sunstone-lint: allow SA070 rejected-candidate path only *)
-        (Printf.sprintf "mapping has %d levels, architecture has %d" (M.num_levels m) ctx.nlevels);
+      (* sunstone-lint: allow SA070 rejected-candidate path only *)
+      Some (Level_count { mapping = M.num_levels m; arch = ctx.nlevels });
     false
   end
-  else
-    match validate_lay ctx (convert_into ctx m) with Ok () -> true | Error _ -> false
+  else validate_lay ctx (convert_into ctx m)
 
-let violation_message ctx =
-  match ctx.sc_violation with Some msg -> msg | None -> "mapping is valid"
+let rejection ctx =
+  match ctx.sc_violation with Some v -> violation_message ctx v | None -> "mapping is valid"
+
+let violation_ctx ctx m = if prepare ctx m then None else ctx.sc_violation
+
+let validate_ctx ctx m = if prepare ctx m then Ok () else Error (rejection ctx)
 
 (* sunstone-hot *)
 let evaluate_ctx ctx m =
@@ -781,7 +827,7 @@ let evaluate_ctx ctx m =
   end
   else begin
     Sun_telemetry.Metrics.incr tel_rejected;
-    Error (violation_message ctx)
+    Error (rejection ctx)
   end
 
 (* sunstone-hot *)
@@ -793,7 +839,7 @@ let score_ctx ctx m =
   end
   else begin
     Sun_telemetry.Metrics.incr tel_rejected;
-    Error (violation_message ctx)
+    Error (rejection ctx)
   end
 
 (* Caller-owned copy of the context score, for batch results. *)
@@ -820,7 +866,7 @@ let batch_over ctx ms ~f =
         end
         else begin
           incr rejected;
-          Error (violation_message ctx)
+          Error (rejection ctx)
         end)
       ms
   in
@@ -951,9 +997,6 @@ let lower_bounds_ctx ctx ~partial_levels m =
 (* ------------------------------------------------------------------ *)
 
 let validate ?binding w arch m = validate_ctx (context ?binding w arch) m
-
-let level_fill_fraction ?binding w arch m ~level =
-  level_fill_fraction_ctx (context ?binding w arch) m ~level
 
 let evaluate ?binding w arch m = evaluate_ctx (context ?binding w arch) m
 

@@ -113,7 +113,49 @@ val lower_bounds_ctx :
     completion of the prefix can run in fewer bandwidth cycles. Used by the
     seeded alpha-beta test ({!Sun_core.Optimizer.optimize}'s [?seed]). *)
 
-val level_fill_fraction_ctx : ctx -> Sun_mapping.Mapping.t -> level:int -> float
+(** {2 Capacity: the Tiling Principle's fit rule}
+
+    The context is the one owner of the rule "the operands a partition
+    stores must fit its capacity". A tile is an int extent vector indexed
+    by dim id — the workload's dim order ({!Sun_tensor.Workload.dim_names});
+    build one with {!extent_vector} or fill a reused vector in that order.
+    A partition's occupancy is the sum of the footprints of the operands it
+    stores, in operand order from zero (the same float additions as
+    [Model_ref]); it overflows when that sum exceeds [capacity_words]
+    (+1e-9). Unbounded levels hold any tile. The level functions below
+    overwrite the context's scratch, like every [_ctx] call. *)
+
+type violation =
+  | Level_count of { mapping : int; arch : int }
+  | Unstored of { operand : string }  (** no partition accepts its role *)
+  | Fanout of { level : int; unrolled : int; fanout : int }
+  | Capacity of { level : int; partition : string; footprint : float; capacity : int }
+(** Why a mapping is illegal on the architecture. *)
+
+val violation_message : ctx -> violation -> string
+(** The error text {!validate} reports for the violation. *)
+
+val extent_vector : ctx -> (string -> int) -> int array
+(** A fresh extent vector from a per-dim extent function. *)
+
+val fits_ctx : ctx -> level:int -> int array -> bool
+(** Does the tile fit every partition of [level]? Allocates nothing — the
+    search's tile-tree fit test, pinned by the [Gc.minor_words] harness. *)
+
+val fill_fraction_ctx : ctx -> level:int -> int array -> float
+(** Occupied fraction of the level: the largest occupancy/capacity ratio
+    over its partitions of nonzero capacity (0 when there are none, as at
+    DRAM). Used by the utilization-threshold baselines (dMazeRunner). *)
+
+val over_capacity_ctx : ctx -> level:int -> int array -> violation list
+(** Every partition of [level] the tile overflows, in declaration order,
+    as [Capacity] violations; [[]] when the tile fits. *)
+
+val violation_ctx : ctx -> Sun_mapping.Mapping.t -> violation option
+(** The first violation {!validate_ctx} would report, typed: the level
+    count, an unstored operand, then fanout level by level, then capacity
+    partition by partition. [None] allocates nothing, so a search can test
+    a candidate before building it. *)
 
 val validate :
   ?binding:binding -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> Sun_mapping.Mapping.t ->
@@ -122,12 +164,6 @@ val validate :
     many levels as the architecture; every buffer partition fits the summed
     footprints of the operands it stores; every spatial level's unrolling
     product fits its fanout. The error string names the first violation. *)
-
-val level_fill_fraction :
-  ?binding:binding -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> Sun_mapping.Mapping.t ->
-  level:int -> float
-(** Occupied fraction of the level's total capacity (max over partitions);
-    used by the utilization-threshold baselines (dMazeRunner). *)
 
 val evaluate :
   ?binding:binding -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> Sun_mapping.Mapping.t ->

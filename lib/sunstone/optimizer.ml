@@ -2,7 +2,6 @@ module W = Sun_tensor.Workload
 module A = Sun_arch.Arch
 module M = Sun_mapping.Mapping
 module Model = Sun_cost.Model
-module Probe = Sun_cost.Probe
 module Listx = Sun_util.Listx
 module Tel = Sun_telemetry.Metrics
 
@@ -57,13 +56,10 @@ type search_state = {
   w : W.t;
   arch : A.t;
   cfg : config;
-  ctx : Model.ctx;
-  probe : Probe.t;
-      (** memoized footprint probes, scoped to this search (DESIGN.md §3.7) *)
+  ctx : Model.ctx;  (** the cost model, and the one owner of the capacity rule *)
   dims : W.dim list;
-  mutable fits : (float * string array) array array;
-      (** per level: (capacity, stored operand names) per partition —
-          arrays, so the fit test loops without list closures *)
+  dim_ids : W.dim array;  (** [dims] by id: the order of [ctx]'s extent vectors *)
+  ext : int array;  (** scratch extent vector of the tile-tree fit test *)
   mutable examined : int;
   mutable evaluated : int;
   mutable pruned : int;
@@ -105,54 +101,33 @@ let initial_levels st =
   Array.init (A.num_levels st.arch) (fun _ ->
       { M.temporal = ones st.dims; order = st.dims; spatial = ones st.dims })
 
-(* Per level: the partitions to check and the operands each one holds,
-   resolved once so the tile-tree fit test is a tight loop. *)
-let fit_table st =
-  Array.init (A.num_levels st.arch) (fun level ->
-      let lvl = A.level st.arch level in
-      if lvl.A.unbounded then [||]
-      else
-        Array.of_list
-          (List.map
-             (fun (p : A.partition) ->
-               let ops =
-                 List.filter
-                   (fun (op : W.operand) ->
-                     match A.partition_for lvl ~role:(st.cfg.binding op.W.name) with
-                     | Some p' -> p'.A.part_name = p.A.part_name
-                     | None -> false)
-                   st.w.W.operands
-               in
-               ( float_of_int p.A.capacity_words +. 1e-9,
-                 Array.of_list (List.map (fun (op : W.operand) -> op.W.name) ops) ))
-             lvl.A.partitions))
+(* Id of dim [d] in the context's extent-vector order: a positional scan
+   over a handful of dims, no hashing. *)
+let rec dim_id dims d i =
+  if i >= Array.length dims then raise Not_found
+  else if String.equal (Array.unsafe_get dims i) d then i
+  else dim_id dims d (i + 1)
 
-(* Does a tile with the given extents fit every partition of the level?
-   The extent vector is resolved once per call; the per-operand footprints
-   go through the search-scoped memo (sibling candidates share most of
-   their extent vectors). [Probe.footprint] is bit-identical to
-   [W.footprint extent], so the sum matches [Listx.sum_by] exactly. The
-   loops are index-driven over the prebuilt arrays — the old
-   [List.for_all]/[List.fold_left] pair allocated two closures per call and
-   boxed the float accumulator on every element — and the local refs below
-   are compiled to registers (Simplif eliminates non-escaping refs). *)
+(* Scale [base] by a tile-tree assignment into [st.ext]. An assignment
+   names each grow dim once, so the order of the writes does not matter. *)
+let rec scale_into st base = function
+  | [] -> ()
+  | (d, f) :: rest ->
+    let i = dim_id st.dim_ids d 0 in
+    Array.unsafe_set st.ext i (Array.unsafe_get base i * f);
+    scale_into st base rest
+
+(* Does the tile [base] x [assignment] fit every partition of [level]? The
+   tile-tree fit test, run at every node the walk visits: the extents land
+   in a reused int vector (manual stores — [Array.blit] is a C call) and
+   [Model.fits_ctx] decides, so the test allocates nothing. *)
 (* sunstone-hot *)
-let extents_fit st ~level extent =
-  Probe.set_extents st.probe extent;
-  let groups = st.fits.(level) in
-  (* sunstone-lint: allow SA070 non-escaping refs are Simplif-eliminated, no allocation *)
-  let ok = ref true and gi = ref 0 in
-  while !ok && !gi < Array.length groups do
-    let cap, ops = groups.(!gi) in
-    (* sunstone-lint: allow SA070 non-escaping ref is Simplif-eliminated, no allocation *)
-    let sum = ref 0.0 in
-    for oi = 0 to Array.length ops - 1 do
-      sum := !sum +. Probe.footprint st.probe ~op:(Array.unsafe_get ops oi) ~level
-    done;
-    if !sum > cap then ok := false;
-    incr gi
+let tile_fits st ~level ~base assignment =
+  for i = 0 to Array.length base - 1 do
+    Array.unsafe_set st.ext i (Array.unsafe_get base i)
   done;
-  !ok
+  scale_into st base assignment;
+  Model.fits_ctx st.ctx ~level st.ext
 
 (* Breaking exact dim coverage (doubling one temporal factor) makes
    [Mapping.make] reject the candidate, which on natural search paths never
@@ -166,21 +141,29 @@ let corrupt_first_build levels =
     in
     { lm with M.temporal } :: rest
 
+(* Build a complete candidate, unless the model already rejects its
+   levels: an illegal candidate (a tile the bottom-up pass only checked at
+   its own level, overflowing a level above; a refine move into a full
+   buffer) is dropped before [Mapping.make], so it is never built, never
+   counted as evaluated, and never reaches [eval_errors]. *)
 let build st levels =
-  let levels_list =
-    match st.inject with
-    | No_injection -> Array.to_list levels
-    | Corrupt_first_build ->
-      st.inject <- No_injection;
-      corrupt_first_build (Array.to_list levels)
-  in
-  match M.make st.w levels_list with
-  | Error _ ->
-    st.build_errors <- st.build_errors + 1;
-    None
-  | Ok m ->
-    st.evaluated <- st.evaluated + 1;
-    Some m
+  match Model.violation_ctx st.ctx { M.levels } with
+  | Some _ -> None
+  | None -> (
+    let levels_list =
+      match st.inject with
+      | No_injection -> Array.to_list levels
+      | Corrupt_first_build ->
+        st.inject <- No_injection;
+        corrupt_first_build (Array.to_list levels)
+    in
+    match M.make st.w levels_list with
+    | Error _ ->
+      st.build_errors <- st.build_errors + 1;
+      None
+    | Ok m ->
+      st.evaluated <- st.evaluated + 1;
+      Some m)
 
 (* [s] may be the context-owned record [Model.score_ctx] overwrites on the
    next call, so adopting it as the incumbent copies. *)
@@ -419,15 +402,12 @@ let alpha_beta_prunes st ~fixed_levels levels =
 (* Candidates for one bottom-up pass at boundary [k]: level-k ordering,
    level-(k-1) tile, level-k spatial unrolling. *)
 let bottom_up_pass st ~orders ~k prefix_levels =
-  let placed_tbl = Hashtbl.create 8 in
-  List.iter
-    (fun d ->
-      (* everything already fixed strictly below the new tile, including the
-         spatial factors of levels <= k-1 *)
-      Hashtbl.replace placed_tbl d (M.tile_at { M.levels = prefix_levels } ~level:(k - 1) d))
-    st.dims;
-  let placed d = Hashtbl.find placed_tbl d in
-  let remaining d = W.bound st.w d / placed d in
+  (* by dim id: everything already fixed strictly below the new tile,
+     including the spatial factors of levels <= k-1 *)
+  let placed =
+    Array.map (fun d -> M.tile_at { M.levels = prefix_levels } ~level:(k - 1) d) st.dim_ids
+  in
+  let remaining d = W.bound st.w d / placed.(dim_id st.dim_ids d 0) in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
   let emit_candidate ~tile ~order ~spatial =
@@ -463,10 +443,7 @@ let bottom_up_pass st ~orders ~k prefix_levels =
     match Hashtbl.find_opt tile_memo key with
     | Some tiles -> tiles
     | None ->
-      let fits assignment =
-        let extent d = placed d * Tile_tree.factor_of assignment d in
-        extents_fit st ~level:(k - 1) extent
-      in
+      let fits = tile_fits st ~level:(k - 1) ~base:placed in
       let out = Tile_tree.search ~max_steps:20 ~grow_dims:grow ~remaining ~fits () in
       st.examined <- st.examined + out.Tile_tree.explored;
       let tiles = cap_frontier out.Tile_tree.frontier in
@@ -675,6 +652,7 @@ let top_down_pass st ~orders ~k prefix_levels =
      t_k x s_k x A_{k-1} *)
   let below d = M.temporal_factor { M.levels = prefix_levels } ~level:k d in
   let fanout = (A.level st.arch k).A.fanout in
+  let ones = Array.make (Array.length st.dim_ids) 1 in
   let results = ref [] in
   let emit ~order ~spatial ~tile =
     st.examined <- st.examined + 1;
@@ -704,9 +682,7 @@ let top_down_pass st ~orders ~k prefix_levels =
         let rem d = below d / Tile_tree.factor_of spatial d in
         (* the level-k spatial factor distributes across level-(k-1)
            instances and does not occupy any single buffer *)
-        let fits assignment =
-          extents_fit st ~level:(k - 1) (fun d -> Tile_tree.factor_of assignment d)
-        in
+        let fits = tile_fits st ~level:(k - 1) ~base:ones in
         let out = Tile_tree.search ~max_steps:20 ~grow_dims:st.dims ~remaining:rem ~fits () in
         st.examined <- st.examined + out.Tile_tree.explored;
         st.tile_candidates <- st.tile_candidates + List.length out.Tile_tree.frontier;
@@ -911,10 +887,7 @@ let flush_telemetry st wall_seconds =
       (* >= 1.0: how much the search improved on the transferred alpha *)
       Tel.observe (Tel.histogram "transfer.alpha_ratio") (st.seed_edp /. best.Model.s_edp)
     | _ -> ()
-  end;
-  (* probe hit/miss tallies flow to model.probe_hits / model.probe_misses
-     (and reset) regardless, so stats stay per-search *)
-  Probe.flush_telemetry st.probe
+  end
 
 let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
   let timer = Sun_util.Stopwatch.start () in
@@ -924,9 +897,9 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
       arch;
       cfg = config;
       ctx = Model.context ~binding:config.binding w arch;
-      probe = Probe.create w;
       dims = W.dim_names w;
-      fits = [||];
+      dim_ids = Array.of_list (W.dim_names w);
+      ext = Array.make (List.length w.W.dims) 1;
       examined = 0;
       evaluated = 0;
       pruned = 0;
@@ -947,7 +920,6 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
       floor_cycles = 0.0;
     }
   in
-  st.fits <- fit_table st;
   (match seed with
   | None -> ()
   | Some levels ->

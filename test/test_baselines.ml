@@ -85,7 +85,9 @@ let test_dmaze_valid_on_large_layer () =
   match o.Mapper.mapping with
   | Some m ->
     (* the returned mapping honors the thresholds it was searched under *)
-    let l2_fill = Model.level_fill_fraction big P.conventional m ~level:1 in
+    let ctx = Model.context big P.conventional in
+    let tile = Model.extent_vector ctx (fun d -> M.tile_at m ~level:1 d) in
+    let l2_fill = Model.fill_fraction_ctx ctx ~level:1 tile in
     Alcotest.(check bool)
       (Printf.sprintf "L2 fill %.2f >= 0.4" l2_fill)
       true (l2_fill >= 0.4 -. 1e-9)

@@ -366,7 +366,9 @@ let test_ctx_equivalence () =
   | Error e -> Alcotest.failf "ctx path failed: %s" e
 
 let test_fill_fraction () =
-  let f = Model.level_fill_fraction conv arch algorithm4 ~level:0 in
+  let ctx = Model.context conv arch in
+  let tile = Model.extent_vector ctx (fun d -> M.tile_at algorithm4 ~level:0 d) in
+  let f = Model.fill_fraction_ctx ctx ~level:0 tile in
   (* Algorithm 4's L1 tile: 14 + 12 + 18 = 44 of 64 words *)
   check_f "L1 fill fraction" (44.0 /. 64.0) f
 

@@ -1,10 +1,11 @@
 (* Golden bit-identity and hot-path coverage for the allocation-free
    evaluator: the rewritten [Model] must return byte-identical cost records
    to the frozen pre-rewrite evaluator ([Model_ref]) on every registry
-   workload under both the Eyeriss-like and Simba presets; the probe memo
-   must be indistinguishable from direct recomputation; the batch entry
-   points must equal the scalar ones; and the gid assignment order of
-   [Model.context] is pinned (serialized caches depend on it). *)
+   workload under both the Eyeriss-like and Simba presets; the capacity
+   kernel must agree with direct [W.footprint] sums and with [Model_ref]'s
+   legality verdicts; the batch entry points must equal the scalar ones;
+   and the gid assignment order of [Model.context] is pinned (serialized
+   caches depend on it). *)
 
 module W = Sun_tensor.Workload
 module A = Sun_arch.Arch
@@ -12,7 +13,6 @@ module P = Sun_arch.Presets
 module M = Sun_mapping.Mapping
 module Model = Sun_cost.Model
 module Ref = Sun_cost.Model_ref
-module Probe = Sun_cost.Probe
 module Opt = Sun_core.Optimizer
 module Tel = Sun_telemetry.Metrics
 
@@ -174,54 +174,6 @@ let test_batch_equals_scalar () =
       | _ -> Alcotest.failf "%s: batch and scalar disagree on acceptance" what)
     ms
 
-(* the probe's reuse answer equals the two-footprint derivation it replaced *)
-let test_probe_changes_footprint () =
-  List.iter
-    (fun wname ->
-      let w = find_workload wname in
-      let probe = Probe.create ~memo:true w in
-      let dims = W.dim_names w in
-      List.iter
-        (fun (op : W.operand) ->
-          List.iter
-            (fun d ->
-              let base = W.footprint (fun _ -> 1) op in
-              let bumped = W.footprint (fun d' -> if d' = d then 2 else 1) op in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: %s/%s" wname op.W.name d)
-                (bumped <> base)
-                (Probe.changes_footprint probe ~op:op.W.name ~dim:d))
-            dims)
-        w.W.operands;
-      Alcotest.(check bool)
-        (wname ^ ": unknown dim never changes a footprint") false
-        (Probe.changes_footprint probe ~op:(List.hd w.W.operands).W.name ~dim:"no-such-dim"))
-    [ "conv2d"; "mmc"; "mttkrp" ]
-
-(* probe telemetry: hits/misses flushed to the model.probe_* counters *)
-let test_probe_telemetry () =
-  let w = find_workload "matmul" in
-  Tel.set_enabled true;
-  Tel.reset ();
-  let probe = Probe.create ~memo:true w in
-  let ops = List.map (fun (op : W.operand) -> op.W.name) w.W.operands in
-  for _ = 1 to 3 do
-    List.iter (fun op -> ignore (Probe.footprint_of probe ~op ~level:0 (fun _ -> 2))) ops
-  done;
-  let hits = Probe.hits probe and misses = Probe.misses probe in
-  Alcotest.(check int) "misses: one per (op, vector)" (List.length ops) misses;
-  Alcotest.(check int) "hits: the revisits" (2 * List.length ops) hits;
-  Probe.flush_telemetry probe;
-  let snap = Tel.snapshot () in
-  let counter name =
-    match List.assoc_opt name snap.Tel.s_counters with Some v -> v | None -> 0
-  in
-  Tel.set_enabled false;
-  Tel.reset ();
-  Alcotest.(check int) "model.probe_hits" hits (counter "model.probe_hits");
-  Alcotest.(check int) "model.probe_misses" misses (counter "model.probe_misses");
-  Alcotest.(check int) "tallies reset by flush" 0 (Probe.hits probe + Probe.misses probe)
-
 (* ------------------------------------------------------------------ *)
 (* Gc ground truth: the dynamic oracle the SA070 static lint is pinned  *)
 (* to. Each side covers the other's blind spots — the lint sees code the *)
@@ -231,7 +183,7 @@ let test_probe_telemetry () =
 (* ------------------------------------------------------------------ *)
 
 (* Minor-heap words per call, after a warmup that faults in lazy state
-   (probe memo entries, grow-on-demand scratch) and pays any one-time
+   (grow-on-demand scratch) and pays any one-time
    boxing. [reps] large enough to expose even a single boxed float. *)
 let words_per_call ~reps f =
   for _ = 1 to 100 do
@@ -269,6 +221,27 @@ let test_gc_score_ctx_zero_alloc () =
           ("split", match split_mapping w ~num_levels:nl with
                     | Ok m -> m
                     | Error e -> Alcotest.fail e);
+        ])
+    presets
+
+(* the tile-tree fit test: both verdicts, at every level *)
+let test_gc_fits_zero_alloc () =
+  List.iter
+    (fun (pname, arch) ->
+      let w = find_workload "conv2d" in
+      let ctx = Model.context w arch in
+      List.iter
+        (fun (tname, tile) ->
+          for level = 0 to List.length arch.A.levels - 1 do
+            let fits () = ignore (Model.fits_ctx ctx ~level tile) in
+            let words = words_per_call ~reps:2000 fits in
+            if words <> 0.0 then
+              Alcotest.failf "fits_ctx allocates %.2f words/call (%s, %s tile, level %d) — want 0"
+                words pname tname level
+          done)
+        [
+          ("unit", Model.extent_vector ctx (fun _ -> 1));
+          ("whole", Model.extent_vector ctx (W.bound w));
         ])
     presets
 
@@ -334,31 +307,108 @@ let test_static_dynamic_agreement () =
         (List.map Srclint.hit_string hot_hits)
     end
 
+(* A random mapping: each prime factor of each bound lands at a random
+   level, temporally or (at fanout levels, less often) spatially, with
+   DRAM weighted up so that legal mappings and both kinds of violation
+   come up (over the four pairs below: ~80% legal, ~11% fanout, ~8% capacity). *)
+let random_mapping rs w (arch : A.t) =
+  let nl = List.length arch.A.levels in
+  let dims = W.dim_names w in
+  let t = Array.make_matrix nl (List.length dims) 1 and s = Array.make_matrix nl (List.length dims) 1 in
+  List.iteri
+    (fun di d ->
+      List.iter
+        (fun (p, k) ->
+          for _ = 1 to k do
+            let l = if Random.State.int rs 3 = 0 then nl - 1 else Random.State.int rs nl in
+            let spatial = (A.level arch l).A.fanout > 1 && Random.State.int rs 3 = 0 in
+            let row = if spatial then s.(l) else t.(l) in
+            row.(di) <- row.(di) * p
+          done)
+        (Sun_util.Factor.prime_factorization (W.bound w d)))
+    dims;
+  let assoc row = List.mapi (fun di d -> (d, row.(di))) dims in
+  M.make w (List.init nl (fun l -> { M.temporal = assoc t.(l); order = dims; spatial = assoc s.(l) }))
+
 let qcheck_props =
   let open QCheck in
-  let memo_matches_direct wname =
+  (* occupancy = the W.footprint sum of the operands each partition
+     stores, bit for bit, seen through every verdict derived from it *)
+  let occupancy_matches_footprints wname (aname, (arch : A.t)) =
     let w = find_workload wname in
+    let ctx = Model.context w arch in
     let dims = W.dim_names w in
-    let ndims = List.length dims in
-    let memo = Probe.create ~memo:true w in
-    let nomemo = Probe.create ~memo:false w in
     Test.make ~count:200
-      ~name:(Printf.sprintf "probe memo = direct recomputation (%s)" wname)
-      (list_of_size (Gen.return ndims) (int_range 1 8))
+      ~name:(Printf.sprintf "%s/%s occupancy" wname aname)
+      (list_of_size (Gen.return (List.length dims)) (int_range 1 16))
       (fun extents ->
         let tbl = List.combine dims extents in
         let ext d = List.assoc d tbl in
+        let tile = Model.extent_vector ctx ext in
         List.for_all
-          (fun (op : W.operand) ->
-            let direct = W.footprint ext op in
-            let a = Probe.footprint_of memo ~op:op.W.name ~level:0 ext in
-            let b = Probe.footprint_of nomemo ~op:op.W.name ~level:0 ext in
-            (* second memoized ask exercises the hit path *)
-            let a2 = Probe.footprint_of memo ~op:op.W.name ~level:0 ext in
-            bits a = bits direct && bits b = bits direct && bits a2 = bits direct)
-          w.W.operands)
+          (fun level ->
+            let lvl = A.level arch level in
+            let used (p : A.partition) =
+              Sun_util.Listx.sum_by
+                (fun (op : W.operand) ->
+                  match A.partition_for lvl ~role:op.W.name with
+                  | Some p' when p'.A.part_name = p.A.part_name -> W.footprint ext op
+                  | _ -> 0.0)
+                w.W.operands
+            in
+            let over =
+              if lvl.A.unbounded then []
+              else
+                List.filter
+                  (fun (p : A.partition) -> used p > float_of_int p.A.capacity_words +. 1e-9)
+                  lvl.A.partitions
+            in
+            let reported = Model.over_capacity_ctx ctx ~level tile in
+            let fraction =
+              List.fold_left
+                (fun acc (p : A.partition) ->
+                  if p.A.capacity_words > 0 then
+                    Float.max acc (used p /. float_of_int p.A.capacity_words)
+                  else acc)
+                0.0 lvl.A.partitions
+            in
+            Model.fits_ctx ctx ~level tile = (over = [])
+            && bits (Model.fill_fraction_ctx ctx ~level tile) = bits fraction
+            && List.length reported = List.length over
+            && List.for_all2
+                 (fun (p : A.partition) v ->
+                   match v with
+                   | Model.Capacity { partition; footprint; capacity; level = l } ->
+                     partition = p.A.part_name && bits footprint = bits (used p)
+                     && capacity = p.A.capacity_words && l = level
+                   | _ -> false)
+                 over reported)
+          (List.init (List.length arch.A.levels) Fun.id))
   in
-  [ memo_matches_direct "conv2d"; memo_matches_direct "mmc" ]
+  (* the typed first violation is Model_ref's verdict, message included *)
+  let legality_matches_reference wname (aname, arch) =
+    let w = find_workload wname in
+    let ctx = Model.context w arch in
+    let rctx = Ref.context w arch in
+    Test.make ~count:200
+      ~name:(Printf.sprintf "%s/%s legality" wname aname)
+      (int_range 0 1_000_000)
+      (fun seed ->
+        match random_mapping (Random.State.make [| seed |]) w arch with
+        | Error msg -> Test.fail_report msg
+        | Ok m -> (
+          match (Model.violation_ctx ctx m, Ref.evaluate_ctx rctx m) with
+          | None, Ok _ -> true
+          | Some v, Error e -> Model.violation_message ctx v = e
+          | _ -> false))
+  in
+  List.concat_map
+    (fun wname ->
+      List.concat_map
+        (fun preset ->
+          [ occupancy_matches_footprints wname preset; legality_matches_reference wname preset ])
+        presets)
+    [ "conv2d"; "mmc" ]
 
 let () =
   Alcotest.run "model hot path"
@@ -372,18 +422,14 @@ let () =
         [ Alcotest.test_case "gid assignment order" `Quick test_gid_order ] );
       ( "batch",
         [ Alcotest.test_case "batch = scalar" `Quick test_batch_equals_scalar ] );
-      ( "probe",
-        [
-          Alcotest.test_case "changes_footprint = derivation" `Quick test_probe_changes_footprint;
-          Alcotest.test_case "telemetry counters" `Quick test_probe_telemetry;
-        ] );
       ( "gc oracle",
         [
           Alcotest.test_case "score_ctx is allocation-free" `Quick
             test_gc_score_ctx_zero_alloc;
+          Alcotest.test_case "fits_ctx is allocation-free" `Quick test_gc_fits_zero_alloc;
           Alcotest.test_case "Edf push/pop is allocation-free" `Quick
             test_gc_edf_zero_alloc;
           Alcotest.test_case "static lint agrees" `Quick test_static_dynamic_agreement;
         ] );
-      ("probe properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
+      ("capacity properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

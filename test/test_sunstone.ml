@@ -314,17 +314,31 @@ let test_optimizer_seeded () =
    move had already shrunk — [Mapping.make] then failed and the failure was
    miscounted as a search build error. With per-move re-snapshotting and
    the divisibility pre-check, an uninjected search must never record a
-   build error, refinement included. *)
+   build error, refinement included. Nor an evaluation error: every
+   complete candidate passes the model's capacity kernel before it is
+   built, so the registry layers whose bottom-up tiles used to overflow a
+   level above (L1's Ibuf/Obuf on simba) and whose refine moves used to
+   fill Wreg reach the model legal. *)
 let test_refine_no_build_errors () =
+  let registry name =
+    match Sun_serve.Registry.find_workload name with
+    | Ok w -> w
+    | Error msg -> Alcotest.fail msg
+  in
   List.iter
     (fun (name, w, arch) ->
       match Opt.optimize ~config:{ Opt.default_config with Opt.refine = true } w arch with
       | Error msg -> Alcotest.failf "%s failed: %s" name msg
-      | Ok r -> Alcotest.(check int) (name ^ ": build_errors") 0 r.Opt.stats.Opt.build_errors)
+      | Ok r ->
+        Alcotest.(check int) (name ^ ": build_errors") 0 r.Opt.stats.Opt.build_errors;
+        Alcotest.(check int) (name ^ ": eval_errors") 0 r.Opt.stats.Opt.eval_errors)
     [
       ("conv1d/toy", conv1d, toy);
       ("conv2d/conventional", C.conv2d ~n:1 ~k:32 ~c:32 ~p:14 ~q:14 ~r:3 ~s:3 (), P.conventional);
       ("mttkrp/conventional", C.mttkrp ~i:64 ~j:32 ~k:16 ~l:16 (), P.conventional);
+      ("resnet18/conv1/simba", registry "resnet18/conv1", P.simba_like);
+      ("resnet18/conv2_x/simba", registry "resnet18/conv2_x", P.simba_like);
+      ("inception/3x3_stem/simba", registry "inception/3x3_stem", P.simba_like);
     ]
 
 (* Table VI: the intra-level optimization order barely affects mapping
