@@ -594,10 +594,12 @@ let evaluate_bench () =
    ([~exclude_self]); the exact-fingerprint repeat is the pipeline's cache
    hit, which skips the search entirely, so the bench isolates what
    cross-layer nearest-neighbor transfer buys a search that must still
-   run. Persists per-layer evaluated counts and EDPs to
-   BENCH_transfer.json and exits non-zero unless the warm resnet18 pass
-   evaluates >= 25% fewer mappings than cold with per-layer EDP equal or
-   better on both catalogs. *)
+   run. Each search is timed min-of-3 (the searches are deterministic, so
+   the repeats differ only by the machine's noise): the wall-time columns
+   say whether the evaluations a seed saves are also time saved. Persists
+   per-layer evaluated counts, wall times and EDPs to BENCH_transfer.json
+   and exits non-zero unless the warm resnet18 pass evaluates >= 25% fewer
+   mappings than cold with per-layer EDP equal or better on both catalogs. *)
 let transfer_bench () =
   let module Json = Sun_serve.Json in
   let module Cache = Sun_serve.Cache in
@@ -614,8 +616,17 @@ let transfer_bench () =
       (Sun_serve.Registry.workloads ())
   in
   let search ?seed w =
-    match Opt.optimize ~config ?seed w arch with
-    | Ok r -> (r.Opt.stats.Opt.evaluated, r.Opt.cost.Model.edp, r.Opt.mapping)
+    let timed () =
+      let t0 = Sun_util.Stopwatch.monotonic_now () in
+      let r = Opt.optimize ~config ?seed w arch in
+      (r, Sun_util.Stopwatch.monotonic_now () -. t0)
+    in
+    let r, t1 = timed () in
+    let _, t2 = timed () in
+    let _, t3 = timed () in
+    let wall = Float.min t1 (Float.min t2 t3) in
+    match r with
+    | Ok r -> (r.Opt.stats.Opt.evaluated, r.Opt.cost.Model.edp, r.Opt.mapping, wall)
     | Error msg ->
       Printf.eprintf "transfer: optimize failed: %s\n" msg;
       exit 2
@@ -625,7 +636,7 @@ let transfer_bench () =
     let cold = List.map (fun (n, w) -> (n, search w)) layers in
     let cache = Cache.create ~capacity:(List.length layers + 1) () in
     List.iter2
-      (fun (n, w) (_, (_, _, m)) ->
+      (fun (n, w) (_, (_, _, m, _)) ->
         Cache.store cache n
           (Json.Obj
              (("mapping", Codec.encode_mapping m) :: Transfer.family_fields ~config w arch)))
@@ -638,13 +649,16 @@ let transfer_bench () =
         layers
     in
     let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
-    let cold_evals = sum (fun (_, (e, _, _)) -> e) cold in
-    let warm_evals = sum (fun (_, (e, _, _), _) -> e) warm in
+    let sum_s f = List.fold_left (fun acc x -> acc +. f x) 0.0 in
+    let cold_evals = sum (fun (_, (e, _, _, _)) -> e) cold in
+    let warm_evals = sum (fun (_, (e, _, _, _), _) -> e) warm in
+    let cold_wall = sum_s (fun (_, (_, _, _, t)) -> t) cold in
+    let warm_wall = sum_s (fun (_, (_, _, _, t), _) -> t) warm in
     let seeded = sum (fun (_, _, s) -> if s then 1 else 0) warm in
     let edp_ok = ref true in
     let rows =
       List.map2
-        (fun (n, (ce, cedp, _)) (_, (we, wedp, _), s) ->
+        (fun (n, (ce, cedp, _, ct)) (_, (we, wedp, _, wt), s) ->
           (* "equal or better" up to float-print jitter: one part in 1e9 *)
           if wedp > cedp *. (1.0 +. 1e-9) then begin
             Printf.eprintf "transfer: %s warm EDP %.6g worse than cold %.6g\n" n wedp cedp;
@@ -656,6 +670,8 @@ let transfer_bench () =
               ("seeded", Json.Bool s);
               ("cold_evaluated", Json.Int ce);
               ("warm_evaluated", Json.Int we);
+              ("cold_wall_s", Json.Float ct);
+              ("warm_wall_s", Json.Float wt);
               ("cold_edp", Json.Float cedp);
               ("warm_edp", Json.Float wedp);
             ])
@@ -666,8 +682,11 @@ let transfer_bench () =
       else 1.0 -. (float_of_int warm_evals /. float_of_int cold_evals)
     in
     Printf.printf
-      "transfer: %-10s %d layers, %d seeded; evaluated cold %d -> warm %d (%.1f%% fewer)\n%!"
-      name (List.length layers) seeded cold_evals warm_evals (100.0 *. reduction);
+      "transfer: %-10s %d layers, %d seeded; evaluated cold %d -> warm %d (%.1f%% fewer); \
+       wall (min of 3) cold %.3f s -> warm %.3f s (%+.1f%%)\n%!"
+      name (List.length layers) seeded cold_evals warm_evals (100.0 *. reduction) cold_wall
+      warm_wall
+      (100.0 *. ((warm_wall /. cold_wall) -. 1.0));
     ( Json.Obj
         [
           ("layers", Json.Int (List.length layers));
@@ -675,6 +694,8 @@ let transfer_bench () =
           ("cold_evaluated", Json.Int cold_evals);
           ("warm_evaluated", Json.Int warm_evals);
           ("reduction", Json.Float reduction);
+          ("cold_wall_s", Json.Float cold_wall);
+          ("warm_wall_s", Json.Float warm_wall);
           ("per_layer", Json.List rows);
         ],
       reduction, !edp_ok )

@@ -211,7 +211,9 @@ let audit_frontier ~inject w a =
             W.footprint (fun d -> Tile_tree.factor_of asg d) op <= cap +. 1e-9
           in
           let remaining d = W.bound w d in
-          let outcome = Tile_tree.search ~grow_dims:grow ~remaining ~fits () in
+          (* the walk reads factors by grow-dim position; the same test *)
+          let walk_fits factors = fits (List.mapi (fun i d -> (d, factors.(i))) grow) in
+          let outcome = Tile_tree.search ~grow_dims:grow ~remaining ~fits:walk_fits () in
           let frontier =
             match inject with
             | Shrink_frontier -> (

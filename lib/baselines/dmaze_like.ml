@@ -66,7 +66,7 @@ let run ?(config = fast) ?(binding = Fun.id) w arch =
         if config.allow_spatial_reduction then dims
         else List.filter (fun d -> W.is_indexing out d) dims
       in
-      let fits a = product a <= fanout in
+      let fits factors = Array.fold_left ( * ) 1 factors <= fanout in
       let o = Tree.search ~max_steps:24 ~grow_dims:grow ~remaining ~fits () in
       examined := !examined + o.Tree.explored;
       List.filter
@@ -75,10 +75,10 @@ let run ?(config = fast) ?(binding = Fun.id) w arch =
     in
     (* tile candidates at a memory level meeting the utilization floor *)
     let tile_choices ~level ~floor ~base remaining =
-      let tile a = Model.extent_vector ctx (fun d -> base d * Tree.factor_of a d) in
-      let fits a = Model.fits_ctx ctx ~level (tile a) in
+      let fits = Mapper.tile_fits ctx ~level base in
       let o = Tree.search ~max_steps:24 ~grow_dims:dims ~remaining ~fits () in
       examined := !examined + o.Tree.explored;
+      let tile a = Model.extent_vector ctx (fun d -> base d * Tree.factor_of a d) in
       List.filter (fun a -> Model.fill_fraction_ctx ctx ~level (tile a) >= floor) o.Tree.frontier
     in
     let fill_levels assoc = List.map (fun d -> (d, Tree.factor_of assoc d)) dims in

@@ -34,7 +34,7 @@ let run ?(config = default) ?(binding = Fun.id) w arch =
     (* preset CK unrolling per spatial level, widened only on underfill *)
     let spatial_choices lvl remaining =
       let fanout = (A.level arch lvl).A.fanout in
-      let fits a = product a <= fanout in
+      let fits factors = Array.fold_left ( * ) 1 factors <= fanout in
       let o = Tree.search ~max_steps:24 ~grow_dims:preset ~remaining ~fits () in
       examined := !examined + o.Tree.explored;
       let threshold = config.min_pe_utilization *. float_of_int fanout in
@@ -127,10 +127,7 @@ let run ?(config = default) ?(binding = Fun.id) w arch =
           if level >= num_levels - 1 then try_mapping spatials tiles
           else begin
             let base_here d = base d * s_at level d in
-            let fits a =
-              Model.fits_ctx ctx ~level
-                (Model.extent_vector ctx (fun d -> base_here d * Tree.factor_of a d))
-            in
+            let fits = Mapper.tile_fits ctx ~level base_here in
             let o = Tree.search ~max_steps:24 ~grow_dims:dims ~remaining ~fits () in
             examined := !examined + o.Tree.explored;
             List.iter

@@ -21,3 +21,12 @@ let failure ~tool ~examined ~wall_seconds =
   { tool; mapping = None; cost = None; valid = false; examined; wall_seconds }
 
 let edp outcome = match outcome.cost with Some c -> c.Model.edp | None -> Float.infinity
+
+let tile_fits ctx ~level base =
+  let base = Model.extent_vector ctx base in
+  let ext = Array.copy base in
+  fun factors ->
+    for i = 0 to Array.length ext - 1 do
+      ext.(i) <- base.(i) * factors.(i)
+    done;
+    Model.fits_ctx ctx ~level ext

@@ -30,3 +30,12 @@ val failure : tool:string -> examined:int -> wall_seconds:float -> outcome
 val edp : outcome -> float
 (** EDP of a valid outcome, [infinity] otherwise — convenient for
     comparisons and geometric means. *)
+
+val tile_fits :
+  Sun_cost.Model.ctx -> level:int -> (Sun_tensor.Workload.dim -> int) -> int array -> bool
+(** [tile_fits ctx ~level base factors]: does the tile [base] x [factors]
+    fit every partition of [level]? The tile-tree fit test of the
+    baselines that grow every dim, so the walk's factor positions are the
+    context's dim ids ({!Sun_tensor.Workload.dim_names} order). Apply it to
+    [base] once per walk: the extent vector is built then and refilled by
+    index on every call. *)

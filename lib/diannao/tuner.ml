@@ -28,6 +28,7 @@ let tune w seed =
   let arch = Sun_arch.Presets.diannao_like in
   let ctx = Model.context w arch in
   let orders = Trie.candidates w in
+  let positions = List.mapi (fun i d -> (d, i)) dims in
   let candidates = ref [ seed ] in
   List.iter
     (fun (op : W.operand) ->
@@ -41,8 +42,8 @@ let tune w seed =
         (fun spatial ->
           let u d = Tree.factor_of spatial d in
           let remaining d = W.bound w d / u d in
-          let fits assignment =
-            let extent d = u d * Tree.factor_of assignment d in
+          let fits factors =
+            let extent d = u d * factors.(List.assoc d positions) in
             List.for_all
               (fun (o : W.operand) -> W.footprint extent o <= cap_of w o.W.name)
               w.W.operands

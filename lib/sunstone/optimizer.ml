@@ -108,26 +108,30 @@ let rec dim_id dims d i =
   else if String.equal (Array.unsafe_get dims i) d then i
   else dim_id dims d (i + 1)
 
-(* Scale [base] by a tile-tree assignment into [st.ext]. An assignment
-   names each grow dim once, so the order of the writes does not matter. *)
-let rec scale_into st base = function
-  | [] -> ()
-  | (d, f) :: rest ->
-    let i = dim_id st.dim_ids d 0 in
-    Array.unsafe_set st.ext i (Array.unsafe_get base i * f);
-    scale_into st base rest
-
-(* Does the tile [base] x [assignment] fit every partition of [level]? The
-   tile-tree fit test, run at every node the walk visits: the extents land
-   in a reused int vector (manual stores — [Array.blit] is a C call) and
-   [Model.fits_ctx] decides, so the test allocates nothing. *)
+(* Does the tile [base] x [factors] fit every partition of [level]? The
+   tile-tree fit test, run at every node the walk visits: [factors] is the
+   walk's vector by grow-dim position and [gids] maps each position to its
+   dim id, so the extents land in a reused int vector by index (manual
+   stores — [Array.blit] is a C call) and [Model.fits_ctx] decides; the
+   test allocates nothing. *)
 (* sunstone-hot *)
-let tile_fits st ~level ~base assignment =
+let tile_fits st ~level ~base ~gids factors =
   for i = 0 to Array.length base - 1 do
     Array.unsafe_set st.ext i (Array.unsafe_get base i)
   done;
-  scale_into st base assignment;
+  for j = 0 to Array.length gids - 1 do
+    let i = Array.unsafe_get gids j in
+    Array.unsafe_set st.ext i (Array.unsafe_get base i * Array.unsafe_get factors j)
+  done;
   Model.fits_ctx st.ctx ~level st.ext
+
+(* The tile tree over [grow], fitting [level] on top of [base]: the grow
+   dims are mapped to their extent-vector ids once per walk. *)
+let tile_search st ~level ~base ~grow ~remaining =
+  let gids = Array.of_list (List.map (fun d -> dim_id st.dim_ids d 0) grow) in
+  Tile_tree.search ~max_steps:20 ~grow_dims:grow ~remaining
+    ~fits:(tile_fits st ~level ~base ~gids)
+    ()
 
 (* Breaking exact dim coverage (doubling one temporal factor) makes
    [Mapping.make] reject the candidate, which on natural search paths never
@@ -443,8 +447,7 @@ let bottom_up_pass st ~orders ~k prefix_levels =
     match Hashtbl.find_opt tile_memo key with
     | Some tiles -> tiles
     | None ->
-      let fits = tile_fits st ~level:(k - 1) ~base:placed in
-      let out = Tile_tree.search ~max_steps:20 ~grow_dims:grow ~remaining ~fits () in
+      let out = tile_search st ~level:(k - 1) ~base:placed ~grow ~remaining in
       st.examined <- st.examined + out.Tile_tree.explored;
       let tiles = cap_frontier out.Tile_tree.frontier in
       st.tile_candidates <- st.tile_candidates + List.length tiles;
@@ -682,8 +685,7 @@ let top_down_pass st ~orders ~k prefix_levels =
         let rem d = below d / Tile_tree.factor_of spatial d in
         (* the level-k spatial factor distributes across level-(k-1)
            instances and does not occupy any single buffer *)
-        let fits = tile_fits st ~level:(k - 1) ~base:ones in
-        let out = Tile_tree.search ~max_steps:20 ~grow_dims:st.dims ~remaining:rem ~fits () in
+        let out = tile_search st ~level:(k - 1) ~base:ones ~grow:st.dims ~remaining:rem in
         st.examined <- st.examined + out.Tile_tree.explored;
         st.tile_candidates <- st.tile_candidates + List.length out.Tile_tree.frontier;
         List.iter (fun tile -> emit ~order:o.Order_trie.order ~spatial ~tile) out.Tile_tree.frontier)

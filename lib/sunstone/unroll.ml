@@ -7,7 +7,7 @@ let product assignment = List.fold_left (fun acc (_, f) -> acc * f) 1 assignment
 let candidates ~fanout ~dims ~remaining ?(min_utilization = 0.0) () =
   if fanout <= 1 || dims = [] then { candidates = [ List.map (fun d -> (d, 1)) dims ]; explored = 1 }
   else begin
-    let fits a = product a <= fanout in
+    let fits factors = Array.fold_left ( * ) 1 factors <= fanout in
     let out = Tile_tree.search ~max_steps:24 ~grow_dims:dims ~remaining ~fits () in
     let threshold = min_utilization *. float_of_int fanout in
     let selected =

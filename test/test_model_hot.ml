@@ -245,6 +245,31 @@ let test_gc_fits_zero_alloc () =
         ])
     presets
 
+(* The tile-tree walk: what it allocates must not grow with the nodes it
+   visits. Two walks over the same ladders (four dims of 512, ten rungs
+   each) with the same one-tile frontier, box-bounded at 8 and at 64:
+   256 and 2,401 fitting nodes. Growing the seen set past the minor heap's
+   largest block lands in the major heap, so the minor words differ by
+   less than one word per node of the smaller walk. *)
+let test_gc_walk_flat () =
+  let module Tree = Sun_core.Tile_tree in
+  let walk lim =
+    let fits f = f.(0) <= lim && f.(1) <= lim && f.(2) <= lim && f.(3) <= lim in
+    let before = Gc.minor_words () in
+    let out = Tree.search ~grow_dims:[ "A"; "B"; "C"; "D" ] ~remaining:(fun _ -> 512) ~fits () in
+    (Gc.minor_words () -. before, out)
+  in
+  ignore (walk 8);
+  let small_words, small = walk 8 in
+  let large_words, large = walk 64 in
+  Alcotest.(check (list int)) "explored" [ 256; 2401 ] [ small.Tree.explored; large.Tree.explored ];
+  Alcotest.(check (list int)) "one-tile frontiers" [ 1; 1 ]
+    [ List.length small.Tree.frontier; List.length large.Tree.frontier ];
+  if large_words -. small_words >= float_of_int small.Tree.explored then
+    Alcotest.failf
+      "tile-tree walk allocation grows with nodes: %.0f minor words at 256 nodes, %.0f at 2401"
+      small_words large_words
+
 let test_gc_edf_zero_alloc () =
   let q = Sun_serve.Edf.create () in
   (* pre-warm capacity: steady-state daemons reach a working-set size and
@@ -427,6 +452,7 @@ let () =
           Alcotest.test_case "score_ctx is allocation-free" `Quick
             test_gc_score_ctx_zero_alloc;
           Alcotest.test_case "fits_ctx is allocation-free" `Quick test_gc_fits_zero_alloc;
+          Alcotest.test_case "tile-tree walk allocation is flat in nodes" `Quick test_gc_walk_flat;
           Alcotest.test_case "Edf push/pop is allocation-free" `Quick
             test_gc_edf_zero_alloc;
           Alcotest.test_case "static lint agrees" `Quick test_static_dynamic_agreement;

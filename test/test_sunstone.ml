@@ -74,12 +74,72 @@ let test_trie_covers_deeper_reuse () =
 
 (* --------------------------- tile tree ---------------------------- *)
 
+(* The assoc-list walk the packed lattice walk replaced, frozen as the
+   reference for the differential property below (the way [Model_ref] is
+   kept for the cost model): a node is an assignment list, [seen] hashes
+   it, and every child's fit is tested before any is visited. *)
+module Tree_ref = struct
+  let canonical grow_dims assignment =
+    List.map (fun d -> (d, Tree.factor_of assignment d)) grow_dims
+
+  let thin max_steps divisors =
+    let n = List.length divisors in
+    if n <= max_steps then divisors
+    else begin
+      let arr = Array.of_list divisors in
+      let picked = List.init max_steps (fun i -> arr.(i * (n - 1) / (max_steps - 1))) in
+      Sun_util.Listx.unique compare picked
+    end
+
+  let search ?(max_steps = max_int) ~grow_dims ~remaining ~fits () =
+    let ladder =
+      let tbl = Hashtbl.create 8 in
+      List.iter
+        (fun d ->
+          Hashtbl.replace tbl d (thin max_steps (Sun_util.Factor.divisors (remaining d))))
+        grow_dims;
+      fun d -> Hashtbl.find tbl d
+    in
+    let next_step d current =
+      let rec go = function
+        | [] -> None
+        | x :: _ when x > current -> Some x
+        | _ :: rest -> go rest
+      in
+      go (ladder d)
+    in
+    let explored = ref 0 in
+    let seen = Hashtbl.create 64 in
+    let frontier = ref [] in
+    let rec visit assignment =
+      let key = canonical grow_dims assignment in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        incr explored;
+        let grown =
+          List.filter_map
+            (fun d ->
+              match next_step d (Tree.factor_of assignment d) with
+              | Some f' ->
+                let child = (d, f') :: List.remove_assoc d assignment in
+                if fits child then Some child else None
+              | None -> None)
+            grow_dims
+        in
+        if grown = [] then frontier := key :: !frontier else List.iter visit grown
+      end
+    in
+    let root = canonical grow_dims [] in
+    if fits root then visit root else incr explored;
+    { Tree.frontier = List.rev !frontier; explored = !explored }
+end
+
 (* Fig 5: unified L1 of 8 entries, grow P and K for the xxCR ordering;
    the frontier is K=2, P=2 (footprint 8: ofmap 4 + weight 2 + ifmap 2). *)
 let test_tile_tree_fig5 () =
   let remaining = function "P" -> 14 | "K" -> 4 | _ -> 1 in
-  let fits a =
-    let k = Tree.factor_of a "K" and p = Tree.factor_of a "P" in
+  let fits f =
+    let p = f.(0) and k = f.(1) in
     (* C = R = 1 tile: ofmap k*p, weight k, ifmap p *)
     (k * p) + k + p <= 8
   in
@@ -94,17 +154,19 @@ let test_tile_tree_root_too_big () =
   let out =
     Tree.search ~grow_dims:[ "K" ] ~remaining:(fun _ -> 4) ~fits:(fun _ -> false) ()
   in
-  Alcotest.(check int) "no candidates" 0 (List.length out.Tree.frontier)
+  Alcotest.(check int) "no candidates" 0 (List.length out.Tree.frontier);
+  Alcotest.(check int) "root counted" 1 out.Tree.explored
 
 let test_tile_tree_factors_divide () =
   let remaining = function "A" -> 12 | "B" -> 9 | _ -> 1 in
-  let fits a = Tree.factor_of a "A" * Tree.factor_of a "B" <= 10 in
+  let fits_tile a = Tree.factor_of a "A" * Tree.factor_of a "B" <= 10 in
+  let fits f = f.(0) * f.(1) <= 10 in
   let out = Tree.search ~grow_dims:[ "A"; "B" ] ~remaining ~fits () in
   List.iter
     (fun tile ->
       Alcotest.(check bool) "A divides" true (12 mod Tree.factor_of tile "A" = 0);
       Alcotest.(check bool) "B divides" true (9 mod Tree.factor_of tile "B" = 0);
-      Alcotest.(check bool) "fits" true (fits tile))
+      Alcotest.(check bool) "fits" true (fits_tile tile))
     out.Tree.frontier;
   (* frontier maximality: no grow step keeps it fitting *)
   List.iter
@@ -114,10 +176,29 @@ let test_tile_tree_factors_divide () =
           match Sun_util.Factor.next_divisor (remaining d) (Tree.factor_of tile d) with
           | Some f' ->
             let bigger = (d, f') :: List.remove_assoc d tile in
-            Alcotest.(check bool) "maximal" false (fits bigger)
+            Alcotest.(check bool) "maximal" false (fits_tile bigger)
           | None -> ())
         [ "A"; "B" ])
     out.Tree.frontier
+
+(* 24^14 > max_int: packed keys would wrap, so the walk must refuse before
+   it calls [fits] even once. 720720 has 240 divisors, thinned to 24. *)
+let test_tile_tree_key_overflow () =
+  let grow n = List.init n (fun i -> Printf.sprintf "D%d" i) in
+  let walk n fits =
+    Tree.search ~max_steps:24 ~grow_dims:(grow n) ~remaining:(fun _ -> 720720) ~fits ()
+  in
+  (match walk 14 (fun _ -> Alcotest.fail "fits called on an overflowing lattice") with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    let dims = "[" ^ String.concat "; " (grow 14) ^ "]" in
+    let rec has i =
+      i + String.length dims <= String.length msg
+      && (String.sub msg i (String.length dims) = dims || has (i + 1))
+    in
+    Alcotest.(check bool) ("message names the grow dims: " ^ msg) true (has 0));
+  (* 24^13 < max_int still walks *)
+  Alcotest.(check int) "13 dims walk" 1 (walk 13 (fun _ -> false)).Tree.explored
 
 (* ---------------------------- unroll ------------------------------ *)
 
@@ -363,9 +444,93 @@ let test_intra_orders_same_quality () =
         (v <= best *. 1.3))
     [ ("ordering-first", a); ("tiling-first", b); ("unrolling-first", c) ]
 
+(* A random monotone fit test over [n] grow dims: a weighted footprint sum
+   (each operand a product over a subset of the dims) within [cap], and/or
+   the product of every factor within [fanout] — as the capacity and the
+   unrolling walks use it. The first operand spans every dim, so either
+   test bounds the lattice the reference walk has to visit. *)
+type walk_case = {
+  bounds : int list;
+  max_steps : int;
+  operands : (bool list * int) list;  (** dim subset, weight *)
+  cap : int option;
+  fanout : int option;
+}
+
+let walk_case_gen =
+  let open QCheck.Gen in
+  (* every bound has more than 24 divisors, so thinning applies *)
+  let pool = [ 720; 840; 1260; 1680; 2520; 5040; 7560; 10080; 27720 ] in
+  int_range 1 5 >>= fun n ->
+  list_repeat n (oneofl pool) >>= fun bounds ->
+  oneofl [ max_int; 16; 20; 24 ] >>= fun max_steps ->
+  list_size (int_range 0 3) (pair (list_repeat n bool) (int_range 1 4)) >>= fun operands ->
+  oneofl [ `Cap; `Fanout; `Both ] >>= fun kind ->
+  int_range 0 512 >>= fun cap ->
+  int_range 1 256 >|= fun fanout ->
+  {
+    bounds;
+    max_steps;
+    operands = (List.map (fun _ -> true) bounds, 1) :: operands;
+    cap = (if kind = `Fanout then None else Some cap);
+    fanout = (if kind = `Cap then None else Some fanout);
+  }
+
+let print_walk_case c =
+  Printf.sprintf "bounds=[%s] max_steps=%d operands=[%s] cap=%s fanout=%s"
+    (String.concat ";" (List.map string_of_int c.bounds))
+    c.max_steps
+    (String.concat ";"
+       (List.map
+          (fun (mask, wt) ->
+            Printf.sprintf "%d*%s" wt
+              (String.concat "" (List.map (fun b -> if b then "1" else "0") mask)))
+          c.operands))
+    (match c.cap with Some x -> string_of_int x | None -> "-")
+    (match c.fanout with Some x -> string_of_int x | None -> "-")
+
+(* [factor i]: the factor of the [i]-th grow dim *)
+let case_fits c factor =
+  let n = List.length c.bounds in
+  let footprint =
+    List.fold_left
+      (fun acc (mask, wt) ->
+        let rec prod i m p =
+          match m with
+          | [] -> p
+          | true :: rest -> prod (i + 1) rest (p *. float_of_int (factor i))
+          | false :: rest -> prod (i + 1) rest p
+        in
+        acc +. (float_of_int wt *. prod 0 mask 1.0))
+      0.0 c.operands
+  in
+  let product =
+    List.fold_left (fun acc i -> acc *. float_of_int (factor i)) 1.0 (List.init n Fun.id)
+  in
+  (match c.cap with Some cap -> footprint <= float_of_int cap | None -> true)
+  && match c.fanout with Some f -> product <= float_of_int f | None -> true
+
+let walk_matches_reference c =
+  let grow_dims = List.mapi (fun i _ -> Printf.sprintf "D%d" i) c.bounds in
+  let remaining d = List.nth c.bounds (int_of_string (String.sub d 1 (String.length d - 1))) in
+  let out =
+    Tree.search ~max_steps:c.max_steps ~grow_dims ~remaining
+      ~fits:(fun f -> case_fits c (fun i -> f.(i)))
+      ()
+  in
+  let expected =
+    Tree_ref.search ~max_steps:c.max_steps ~grow_dims ~remaining
+      ~fits:(fun a -> case_fits c (fun i -> Tree.factor_of a (List.nth grow_dims i)))
+      ()
+  in
+  out.Tree.frontier = expected.Tree.frontier && out.Tree.explored = expected.Tree.explored
+
 let qcheck_props =
   let open QCheck in
   [
+    Test.make ~name:"tile tree walk = frozen assoc-list walk" ~count:200
+      (make ~print:print_walk_case walk_case_gen)
+      walk_matches_reference;
     Test.make ~name:"optimizer mappings always valid" ~count:25
       (make Gen.(tup4 (1 -- 4) (1 -- 4) (1 -- 4) (1 -- 3)))
       (fun (k2, c2, p2, r) ->
@@ -399,6 +564,7 @@ let () =
           Alcotest.test_case "fig 5 frontier" `Quick test_tile_tree_fig5;
           Alcotest.test_case "root too big" `Quick test_tile_tree_root_too_big;
           Alcotest.test_case "divisibility and maximality" `Quick test_tile_tree_factors_divide;
+          Alcotest.test_case "packed key overflow" `Quick test_tile_tree_key_overflow;
         ] );
       ( "unroll",
         [
