@@ -470,7 +470,10 @@ let lint_bench () =
 
 (* Cost-model hot path: evaluations/sec of the allocation-free evaluator
    (full and score-only) against the frozen pre-PR evaluator (Model_ref) on
-   the registry's hardest kernels, min-of-N interleaved-free reps.
+   the registry's hardest kernels, min-of-N interleaved-free reps. The
+   structural check every search candidate pays first, [Mapping.make] on
+   the same mapping's levels, is reported beside them in ns/call (not
+   gated).
    Persists everything to BENCH_evaluate.json and exits non-zero unless
    the hardest kernel clears the 2x evaluations/sec gate and every
    kernel's costs are bit-identical across evaluators. *)
@@ -526,23 +529,29 @@ let evaluate_bench () =
         if not identical then all_identical := false;
         (* interleave the three evaluators rep by rep, min-of-N each, so a
            load spike hits all of them rather than skewing one ratio *)
+        let levels = Array.to_list m.Sun_mapping.Mapping.levels in
         let ref_best = ref infinity and full_best = ref infinity and score_best = ref infinity in
+        let make_best = ref infinity in
         for _ = 1 to reps do
           ref_best := Float.min !ref_best (time_once (fun () -> ignore (Ref.evaluate_ctx ref_ctx m)));
           full_best :=
             Float.min !full_best (time_once (fun () -> ignore (Model.evaluate_ctx ctx m)));
           score_best :=
-            Float.min !score_best (time_once (fun () -> ignore (Model.score_ctx ctx m)))
+            Float.min !score_best (time_once (fun () -> ignore (Model.score_ctx ctx m)));
+          make_best :=
+            Float.min !make_best
+              (time_once (fun () -> ignore (Sun_mapping.Mapping.make w levels)))
         done;
         let ref_eps = float_of_int evals /. !ref_best in
         let full_eps = float_of_int evals /. !full_best in
         let score_eps = float_of_int evals /. !score_best in
         let speedup_full = full_eps /. ref_eps in
         let speedup_score = score_eps /. ref_eps in
+        let make_ns = !make_best /. float_of_int evals *. 1e9 in
         if name = hardest then gate_speedup := speedup_score;
         Printf.printf
-          "  %-5s ref %9.0f/s  full %9.0f/s (%.2fx)  score %9.0f/s (%.2fx)  %s\n%!" name
-          ref_eps full_eps speedup_full score_eps speedup_score
+          "  %-5s ref %9.0f/s  full %9.0f/s (%.2fx)  score %9.0f/s (%.2fx)  make %5.0f ns  %s\n%!"
+          name ref_eps full_eps speedup_full score_eps speedup_score make_ns
           (if identical then "bit-identical" else "COSTS DIFFER");
         Json.Obj
           [
@@ -553,6 +562,7 @@ let evaluate_bench () =
             ("score_evals_per_s", Json.Float score_eps);
             ("speedup_full", Json.Float speedup_full);
             ("speedup_score", Json.Float speedup_score);
+            ("make_ns_per_call", Json.Float make_ns);
             ("bit_identical", Json.Bool identical);
           ])
       kernel_names

@@ -20,13 +20,6 @@ let tile_at t ~level d =
   done;
   !acc
 
-let tile_at_top t d =
-  let acc = ref 1 in
-  for j = 0 to num_levels t - 1 do
-    acc := !acc * temporal_factor t ~level:j d * spatial_factor t ~level:j d
-  done;
-  !acc
-
 let spatial_product t ~level =
   List.fold_left (fun acc (_, f) -> acc * f) 1 t.levels.(level).spatial
 
@@ -39,56 +32,116 @@ let total_spatial t =
 
 let footprint_at (_ : W.t) t ~level op = W.footprint (fun d -> tile_at t ~level d) op
 
-(* Result-chained so no exception escapes library code: the first violated
-   rule becomes the Error payload. *)
-let ( let* ) = Result.bind
+(* Structural validation, O(levels x dims), allocating only four per-call
+   arrays of dims length (and the error string on failure). Dims are
+   looked up by list position first — every search candidate lists them in
+   workload order — with a scan as the fallback; a per-call stamp array
+   marks the dims one list has covered, so "each dim exactly once" and "a
+   permutation of the dims" need no sort; and the per-dim products are
+   accumulated during the coverage passes. The verdict and error string are
+   those of the first violated rule in the order the mli documents. *)
+
+let rec scan_dim (dims : dim array) d i =
+  if i >= Array.length dims then -1
+  else if String.equal (Array.unsafe_get dims i) d then i
+  else scan_dim dims d (i + 1)
+
+(* The position guess compares [==] first: search candidates share the
+   workload's dim strings. *)
+let dim_position (dims : dim array) p d =
+  if
+    p >= 0
+    && p < Array.length dims
+    &&
+    let n = Array.unsafe_get dims p in
+    d == n || String.equal d n
+  then p
+  else scan_dim dims d 0
+
+(* Outcome of one pass over a factor list. *)
+type factor_pass = Covered | Not_covered | Unknown_dim of dim | Bad_factor of dim * int
+
+(* The first unknown dim or non-positive factor, in list order, ends the
+   pass; otherwise each factor is folded into [prod] by dim id and stamped
+   into [seen], and the pass reports whether the list named every dim
+   exactly once. *)
+let rec factor_pass (dims : dim array) (seen : int array) (stamp : int) (prod : int array) p dup
+    = function
+  | [] -> if dup || p <> Array.length dims then Not_covered else Covered
+  | (d, f) :: rest ->
+    let i = dim_position dims p d in
+    if i < 0 then Unknown_dim d
+    else if f < 1 then Bad_factor (d, f)
+    else begin
+      let dup = dup || Array.unsafe_get seen i = stamp in
+      Array.unsafe_set seen i stamp;
+      Array.unsafe_set prod i (Array.unsafe_get prod i * f);
+      factor_pass dims seen stamp prod (p + 1) dup rest
+    end
+
+(* Is [order] a permutation of the dims? *)
+let rec order_pass (dims : dim array) (seen : int array) (stamp : int) p = function
+  | [] -> p = Array.length dims
+  | d :: rest ->
+    let i = dim_position dims p d in
+    if i < 0 || Array.unsafe_get seen i = stamp then false
+    else begin
+      Array.unsafe_set seen i stamp;
+      order_pass dims seen stamp (p + 1) rest
+    end
+
+let known_error i kind = function
+  | Unknown_dim d -> Some (Printf.sprintf "level %d: unknown dim %s in %s factors" i d kind)
+  | Bad_factor (d, f) -> Some (Printf.sprintf "level %d: %s factor of %s is %d" i kind d f)
+  | Covered | Not_covered -> None
+
+let cover_error i kind =
+  Printf.sprintf "level %d: %s factors must cover each workload dim exactly once" i kind
+
+(* Per level: known temporal, known spatial, temporal coverage, spatial
+   coverage, order. Each level takes three fresh stamps. *)
+let rec check_levels (dims : dim array) seen prod i = function
+  | [] -> None
+  | (lm : level_mapping) :: rest -> (
+    let stamp = 3 * i in
+    let t = factor_pass dims seen (stamp + 1) prod 0 false lm.temporal in
+    match known_error i "temporal" t with
+    | Some _ as e -> e
+    | None -> (
+      let s = factor_pass dims seen (stamp + 2) prod 0 false lm.spatial in
+      match known_error i "spatial" s with
+      | Some _ as e -> e
+      | None -> (
+        (* the mli contract: factor lists cover exactly the workload dims,
+           once each — a silently missing dim would default to factor 1
+           downstream *)
+        match (t, s) with
+        | Covered, Covered ->
+          if order_pass dims seen (stamp + 3) 0 lm.order then
+            check_levels dims seen prod (i + 1) rest
+          else Some (Printf.sprintf "level %d: order is not a permutation of the workload dims" i)
+        | Covered, _ -> Some (cover_error i "spatial")
+        | _ -> Some (cover_error i "temporal"))))
+
+let rec product_error (dims : (dim * int) array) (prod : int array) i =
+  if i >= Array.length dims then None
+  else
+    let d, bound = dims.(i) in
+    if prod.(i) <> bound then
+      Some (Printf.sprintf "dim %s: factors multiply to %d, bound is %d" d prod.(i) bound)
+    else product_error dims prod (i + 1)
 
 let validate w levels =
-  let dims = W.dim_names w in
-  let sorted_dims = List.sort String.compare dims in
-  let first_error f xs =
-    List.fold_left (fun acc x -> match acc with Error _ -> acc | Ok () -> f x) (Ok ()) xs
-  in
-  let check_level (i, (lm : level_mapping)) =
-    let known_factors assoc kind =
-      first_error
-        (fun (d, f) ->
-          if not (List.mem d dims) then
-            Error (Printf.sprintf "level %d: unknown dim %s in %s factors" i d kind)
-          else if f < 1 then
-            Error (Printf.sprintf "level %d: %s factor of %s is %d" i kind d f)
-          else Ok ())
-        assoc
-    in
-    (* the mli contract: factor lists cover exactly the workload dims, once
-       each — a silently missing dim would default to factor 1 downstream *)
-    let covers assoc kind =
-      if List.sort String.compare (List.map fst assoc) <> sorted_dims then
-        Error
-          (Printf.sprintf "level %d: %s factors must cover each workload dim exactly once" i kind)
-      else Ok ()
-    in
-    let* () = known_factors lm.temporal "temporal" in
-    let* () = known_factors lm.spatial "spatial" in
-    let* () = covers lm.temporal "temporal" in
-    let* () = covers lm.spatial "spatial" in
-    if List.sort String.compare lm.order <> sorted_dims then
-      Error (Printf.sprintf "level %d: order is not a permutation of the workload dims" i)
-    else Ok ()
-  in
-  let* () = first_error check_level (List.mapi (fun i lm -> (i, lm)) levels) in
-  let t = { levels = Array.of_list levels } in
-  let* () =
-    first_error
-      (fun d ->
-        let placed = tile_at_top t d in
-        let bound = W.bound w d in
-        if placed <> bound then
-          Error (Printf.sprintf "dim %s: factors multiply to %d, bound is %d" d placed bound)
-        else Ok ())
-      dims
-  in
-  Ok t
+  let dims = Array.of_list w.W.dims in
+  let n = Array.length dims in
+  let seen = Array.make n 0 in
+  let prod = Array.make n 1 in
+  match check_levels (Array.map fst dims) seen prod 0 levels with
+  | Some msg -> Error msg
+  | None -> (
+    match product_error dims prod 0 with
+    | Some msg -> Error msg
+    | None -> Ok { levels = Array.of_list levels })
 
 let make w levels = validate w levels
 

@@ -30,9 +30,27 @@ val make : Sun_tensor.Workload.t -> level_mapping list -> (t, string) result
 (** Structural validation: factor lists cover exactly the workload dims with
     positive factors, orders are permutations of the dims, and per-dimension
     factor products equal the workload bounds. (Capacity and fanout checks
-    need the architecture and live in the cost model.) *)
+    need the architecture and live in the cost model.)
+
+    The error is that of the first violated rule. Levels are checked
+    innermost first; within a level the precedence is: every temporal
+    factor names a workload dim and is [>= 1] (first offender in list
+    order), the same for the spatial factors, the temporal factors cover
+    each dim exactly once, the same for the spatial factors, and the order
+    is a permutation of the dims. Only when every level passes are the
+    per-dim products compared with the bounds, in workload dim order.
+
+    Cost: O(levels x dims) — one pass per list, dims looked up by list
+    position first (lists in workload dim order hit at once) and by a scan
+    otherwise; no sorting, and allocation only for a few per-call arrays
+    of dims length, the result and, on failure, the error string. *)
 
 val make_exn : Sun_tensor.Workload.t -> level_mapping list -> t
+
+val dim_position : dim array -> int -> dim -> int
+(** [dim_position dims p d] is the index of [d] in [dims], or -1. Position
+    [p] is tried first, so a walk over a list in [dims] order passing each
+    element's list position finds every dim without a scan. *)
 
 val num_levels : t -> int
 
@@ -42,9 +60,6 @@ val spatial_factor : t -> level:int -> dim -> int
 val tile_at : t -> level:int -> dim -> int
 (** Extent of [d] inside the level-[l] buffer tile: product of temporal and
     spatial factors of levels [<= l]. *)
-
-val tile_at_top : t -> dim -> int
-(** Product over all levels; equals the workload bound for valid mappings. *)
 
 val spatial_product : t -> level:int -> int
 (** Product of all spatial factors at the level: parallel instances used. *)

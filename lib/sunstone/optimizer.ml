@@ -59,6 +59,7 @@ type search_state = {
   ctx : Model.ctx;  (** the cost model, and the one owner of the capacity rule *)
   dims : W.dim list;
   dim_ids : W.dim array;  (** [dims] by id: the order of [ctx]'s extent vectors *)
+  bounds : int array;  (** workload bounds by dim id *)
   ext : int array;  (** scratch extent vector of the tile-tree fit test *)
   mutable examined : int;
   mutable evaluated : int;
@@ -92,8 +93,7 @@ type search_state = {
 
 let ones dims = List.map (fun d -> (d, 1)) dims
 
-let fill dims assoc =
-  List.map (fun d -> match List.assoc_opt d assoc with Some f -> (d, f) | None -> (d, 1)) dims
+let fill dims assoc = List.map (fun d -> (d, Tile_tree.factor_of assoc d)) dims
 
 let copy_levels levels = Array.map (fun lm -> lm) levels
 
@@ -101,12 +101,31 @@ let initial_levels st =
   Array.init (A.num_levels st.arch) (fun _ ->
       { M.temporal = ones st.dims; order = st.dims; spatial = ones st.dims })
 
-(* Id of dim [d] in the context's extent-vector order: a positional scan
-   over a handful of dims, no hashing. *)
-let rec dim_id dims d i =
-  if i >= Array.length dims then raise Not_found
-  else if String.equal (Array.unsafe_get dims i) d then i
-  else dim_id dims d (i + 1)
+(* Id of dim [d] in the context's extent-vector order, for a [d] at list
+   position [p]; the search only ever names workload dims. *)
+let dim_id dims p d =
+  let i = M.dim_position dims p d in
+  if i < 0 then raise Not_found else i
+
+(* Fold the factors of a level list into [acc] by dim id. Every list the
+   search builds names each dim once, in dim-id order, so the position is
+   the id and the lookup never scans. *)
+let rec mul_factors dims acc p = function
+  | [] -> ()
+  | (d, f) :: rest ->
+    let i = dim_id dims p d in
+    Array.unsafe_set acc i (Array.unsafe_get acc i * f);
+    mul_factors dims acc (p + 1) rest
+
+(* The tile extent of every dim at [level] — the product of the temporal
+   and spatial factors of levels [<= level] — by dim id. *)
+let tile_extents st levels ~level =
+  let acc = Array.make (Array.length st.dim_ids) 1 in
+  for l = 0 to level do
+    mul_factors st.dim_ids acc 0 levels.(l).M.temporal;
+    mul_factors st.dim_ids acc 0 levels.(l).M.spatial
+  done;
+  acc
 
 (* Does the tile [base] x [factors] fit every partition of [level]? The
    tile-tree fit test, run at every node the walk visits: [factors] is the
@@ -128,7 +147,7 @@ let tile_fits st ~level ~base ~gids factors =
 (* The tile tree over [grow], fitting [level] on top of [base]: the grow
    dims are mapped to their extent-vector ids once per walk. *)
 let tile_search st ~level ~base ~grow ~remaining =
-  let gids = Array.of_list (List.map (fun d -> dim_id st.dim_ids d 0) grow) in
+  let gids = Array.of_list (List.map (fun d -> dim_id st.dim_ids 0 d) grow) in
   Tile_tree.search ~max_steps:20 ~grow_dims:grow ~remaining
     ~fits:(tile_fits st ~level ~base ~gids)
     ()
@@ -273,20 +292,13 @@ let operand_choices (o : Order_trie.candidate) =
 
 (* Complete a prefix by dumping every unplaced factor at DRAM. *)
 let complete_at_top st levels =
-  let completed = copy_levels levels in
   let top = A.num_levels st.arch - 1 in
-  let m = { M.levels = completed } in
-  let residual =
-    List.map (fun d -> (d, W.bound st.w d / M.tile_at m ~level:top d)) st.dims
-  in
-  let top_lm = completed.(top) in
-  let temporal =
-    List.map
-      (fun (d, f) ->
-        let cur = match List.assoc_opt d top_lm.M.temporal with Some c -> c | None -> 1 in
-        (d, cur * f))
-      residual
-  in
+  let placed = tile_extents st levels ~level:top in
+  let top_lm = levels.(top) in
+  let cur = Array.make (Array.length st.dim_ids) 1 in
+  mul_factors st.dim_ids cur 0 top_lm.M.temporal;
+  let temporal = List.mapi (fun i d -> (d, cur.(i) * (st.bounds.(i) / placed.(i)))) st.dims in
+  let completed = copy_levels levels in
   completed.(top) <- { top_lm with M.temporal };
   completed
 
@@ -408,10 +420,11 @@ let alpha_beta_prunes st ~fixed_levels levels =
 let bottom_up_pass st ~orders ~k prefix_levels =
   (* by dim id: everything already fixed strictly below the new tile,
      including the spatial factors of levels <= k-1 *)
-  let placed =
-    Array.map (fun d -> M.tile_at { M.levels = prefix_levels } ~level:(k - 1) d) st.dim_ids
+  let placed = tile_extents st prefix_levels ~level:(k - 1) in
+  let remaining d =
+    let i = dim_id st.dim_ids 0 d in
+    st.bounds.(i) / placed.(i)
   in
-  let remaining d = W.bound st.w d / placed.(dim_id st.dim_ids d 0) in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
   let emit_candidate ~tile ~order ~spatial =
@@ -521,40 +534,74 @@ let lane_pass st prefix_levels =
     !results
   end
 
+(* Prefix identity, hashed and compared in place on the level array (no
+   key is built): two prefixes are the same candidate when every level has
+   the same temporal and spatial factor values, in list order, and the same
+   loop order. The beam's spatial signature is the spatial half alone. *)
+let rec hash_factors h = function [] -> h | (_, f) :: rest -> hash_factors ((h * 31) + f) rest
+
+(* Dim names are short: length and end characters tell them apart. *)
+let hash_dim d =
+  let n = String.length d in
+  if n = 0 then 0
+  else
+    (n * 65599)
+    + (Char.code (String.unsafe_get d 0) * 257)
+    + Char.code (String.unsafe_get d (n - 1))
+
+let rec hash_order h = function [] -> h | d :: rest -> hash_order ((h * 31) + hash_dim d) rest
+
+let rec equal_factors (a : (W.dim * int) list) (b : (W.dim * int) list) =
+  match (a, b) with
+  | [], [] -> true
+  | (_, x) :: a, (_, y) :: b -> Int.equal x y && equal_factors a b
+  | _ -> false
+
+let rec equal_order a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> String.equal x y && equal_order a b
+  | _ -> false
+
+let rec equal_levels eq (a : M.level_mapping array) (b : M.level_mapping array) i =
+  i >= Array.length a || (eq a.(i) b.(i) && equal_levels eq a b (i + 1))
+
+(* A hash set of prefixes, keyed in place by a per-level hash and
+   equality. *)
+module Level_set (L : sig
+  val hash : int -> M.level_mapping -> int
+  val equal : M.level_mapping -> M.level_mapping -> bool
+end) =
+Hashtbl.Make (struct
+  type t = M.level_mapping array
+
+  let hash levels = Array.fold_left L.hash 17 levels land max_int
+
+  let equal a b = Array.length a = Array.length b && equal_levels L.equal a b 0
+end)
+
+module Prefix_set = Level_set (struct
+  let hash h (lm : M.level_mapping) =
+    hash_factors (hash_order (hash_factors h lm.M.temporal) lm.M.order) lm.M.spatial
+
+  let equal (a : M.level_mapping) (b : M.level_mapping) =
+    equal_factors a.M.temporal b.M.temporal
+    && equal_order a.M.order b.M.order
+    && equal_factors a.M.spatial b.M.spatial
+end)
+
+module Spatial_set = Level_set (struct
+  let hash h (lm : M.level_mapping) = hash_factors h lm.M.spatial
+  let equal (a : M.level_mapping) (b : M.level_mapping) = equal_factors a.M.spatial b.M.spatial
+end)
+
 let dedup_prefixes prefixes =
-  let seen = Hashtbl.create 64 in
-  let buf = Buffer.create 128 in
-  let canonical levels =
-    Buffer.clear buf;
-    Array.iter
-      (fun lm ->
-        List.iter
-          (fun (_, f) ->
-            Buffer.add_string buf (string_of_int f);
-            Buffer.add_char buf ',')
-          lm.M.temporal;
-        Buffer.add_char buf '|';
-        List.iter
-          (fun d ->
-            Buffer.add_string buf d;
-            Buffer.add_char buf ',')
-          lm.M.order;
-        Buffer.add_char buf '|';
-        List.iter
-          (fun (_, f) ->
-            Buffer.add_string buf (string_of_int f);
-            Buffer.add_char buf ',')
-          lm.M.spatial;
-        Buffer.add_char buf ';')
-      levels;
-    Buffer.contents buf
-  in
+  let seen = Prefix_set.create (List.length prefixes) in
   List.filter
     (fun levels ->
-      let key = canonical levels in
-      if Hashtbl.mem seen key then false
+      if Prefix_set.mem seen levels then false
       else begin
-        Hashtbl.add seen key ();
+        Prefix_set.add seen levels ();
         true
       end)
     prefixes
@@ -587,28 +634,14 @@ let select_beam st ~fixed_levels prefixes =
             | None -> None))
         prefixes
   in
-  let sorted = List.sort (fun (_, a) (_, b) -> compare a b) scored in
-  let spatial_key levels =
-    let buf = Buffer.create 32 in
-    Array.iter
-      (fun lm ->
-        List.iter
-          (fun (_, f) ->
-            Buffer.add_string buf (string_of_int f);
-            Buffer.add_char buf ',')
-          lm.M.spatial;
-        Buffer.add_char buf ';')
-      levels;
-    Buffer.contents buf
-  in
-  let seen_keys = Hashtbl.create 16 in
+  let sorted = List.sort (fun (_, a) (_, b) -> Float.compare a b) scored in
+  let seen = Spatial_set.create 16 in
   let diverse, rest =
     List.partition
       (fun (levels, _) ->
-        let key = spatial_key levels in
-        if Hashtbl.mem seen_keys key then false
+        if Spatial_set.mem seen levels then false
         else begin
-          Hashtbl.add seen_keys key ();
+          Spatial_set.add seen levels ();
           true
         end)
       sorted
@@ -747,7 +780,7 @@ let optimize_top_down st =
         (fun (levels, s) -> (levels, s.Model.s_energy_pj))
         (score_batch st (List.map (fun levels -> (levels, copy_levels levels)) prefixes))
     in
-    let sorted = List.sort (fun (_, a) (_, b) -> compare a b) scored in
+    let sorted = List.sort (fun (_, a) (_, b) -> Float.compare a b) scored in
     List.map fst (Listx.take st.cfg.beam_width sorted)
   in
   let rec run k prefixes =
@@ -901,6 +934,7 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
       ctx = Model.context ~binding:config.binding w arch;
       dims = W.dim_names w;
       dim_ids = Array.of_list (W.dim_names w);
+      bounds = Array.of_list (List.map snd w.W.dims);
       ext = Array.make (List.length w.W.dims) 1;
       examined = 0;
       evaluated = 0;

@@ -4,7 +4,12 @@ type dim = Sun_tensor.Workload.dim
 
 type assignment = (dim * int) list
 
-let factor_of assignment d = match List.assoc_opt d assignment with Some f -> f | None -> 1
+(* [List.assoc_opt]'s first match, without its polymorphic compare: the
+   optimizer fills every candidate's factor lists through this. *)
+let rec factor_of assignment d =
+  match assignment with
+  | [] -> 1
+  | (d', f) :: rest -> if d == d' || String.equal d d' then f else factor_of rest d
 
 type outcome = { frontier : assignment list; explored : int }
 

@@ -152,6 +152,150 @@ let test_pp_roundtrip_info () =
   Alcotest.(check bool) "mentions L2 loops" true (contains s "for P in 2");
   Alcotest.(check bool) "mentions L1 tile loop" true (contains s "for R in 3")
 
+(* The list-based [Mapping.validate] as it stood before validation became
+   a single positional pass, frozen as the differential oracle for
+   [Mapping.make]: same verdict, same mapping, same error string. *)
+module Mapping_ref = struct
+  let ( let* ) = Result.bind
+
+  let factor assoc d = match List.assoc_opt d assoc with Some f -> f | None -> 1
+
+  let tile_at_top (levels : M.level_mapping array) d =
+    Array.fold_left
+      (fun acc (lm : M.level_mapping) -> acc * factor lm.M.temporal d * factor lm.M.spatial d)
+      1 levels
+
+  let validate w levels =
+    let dims = W.dim_names w in
+    let sorted_dims = List.sort String.compare dims in
+    let first_error f xs =
+      List.fold_left (fun acc x -> match acc with Error _ -> acc | Ok () -> f x) (Ok ()) xs
+    in
+    let check_level (i, (lm : M.level_mapping)) =
+      let known_factors assoc kind =
+        first_error
+          (fun (d, f) ->
+            if not (List.mem d dims) then
+              Error (Printf.sprintf "level %d: unknown dim %s in %s factors" i d kind)
+            else if f < 1 then Error (Printf.sprintf "level %d: %s factor of %s is %d" i kind d f)
+            else Ok ())
+          assoc
+      in
+      let covers assoc kind =
+        if List.sort String.compare (List.map fst assoc) <> sorted_dims then
+          Error
+            (Printf.sprintf "level %d: %s factors must cover each workload dim exactly once" i kind)
+        else Ok ()
+      in
+      let* () = known_factors lm.M.temporal "temporal" in
+      let* () = known_factors lm.M.spatial "spatial" in
+      let* () = covers lm.M.temporal "temporal" in
+      let* () = covers lm.M.spatial "spatial" in
+      if List.sort String.compare lm.M.order <> sorted_dims then
+        Error (Printf.sprintf "level %d: order is not a permutation of the workload dims" i)
+      else Ok ()
+    in
+    let* () = first_error check_level (List.mapi (fun i lm -> (i, lm)) levels) in
+    let arr = Array.of_list levels in
+    let* () =
+      first_error
+        (fun d ->
+          let placed = tile_at_top arr d in
+          let bound = W.bound w d in
+          if placed <> bound then
+            Error (Printf.sprintf "dim %s: factors multiply to %d, bound is %d" d placed bound)
+          else Ok ())
+        dims
+    in
+    Ok arr
+end
+
+(* Random level lists for the differential: a valid mapping (every bound
+   split across the levels' temporal and spatial factors, lists sometimes
+   shuffled) with up to three mutations, each one of: an unknown dim, a
+   zero or negative factor, a dropped or duplicated entry, a short, long,
+   repeated or foreign order, or a factor that breaks the product. *)
+let gen_level_list : (W.t * M.level_mapping list) QCheck.Gen.t =
+ fun st ->
+  let pick xs = List.nth xs (Random.State.int st (List.length xs)) in
+  let w = pick [ conv1d; C.matmul ~m:12 ~n:8 ~k:5 (); C.conv1d ~k:2 ~c:1 ~p:6 ~r:2 () ] in
+  let wdims = W.dim_names w in
+  let nd = List.length wdims in
+  let nlevels = Random.State.int st 5 in
+  let tf = Array.make_matrix nlevels nd 1 and sf = Array.make_matrix nlevels nd 1 in
+  List.iteri
+    (fun j (_, bound) ->
+      let rem = ref bound in
+      for l = 0 to nlevels - 1 do
+        let take slot =
+          let f = pick (Sun_util.Factor.divisors !rem) in
+          slot.(l).(j) <- f;
+          rem := !rem / f
+        in
+        take sf;
+        take tf
+      done;
+      if nlevels > 0 then tf.(nlevels - 1).(j) <- tf.(nlevels - 1).(j) * !rem)
+    w.W.dims;
+  let shuffle xs =
+    List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) xs))
+  in
+  let maybe_shuffle xs = if Random.State.int st 4 = 0 then shuffle xs else xs in
+  let levels =
+    Array.init nlevels (fun l ->
+        {
+          M.temporal = maybe_shuffle (List.mapi (fun j d -> (d, tf.(l).(j))) wdims);
+          order = shuffle wdims;
+          spatial = maybe_shuffle (List.mapi (fun j d -> (d, sf.(l).(j))) wdims);
+        })
+  in
+  let edit_nth xs f =
+    match xs with
+    | [] -> xs
+    | _ ->
+      let k = Random.State.int st (List.length xs) in
+      List.concat (List.mapi (fun i x -> if i = k then f x else [ x ]) xs)
+  in
+  let mutate_factors xs =
+    match Random.State.int st 6 with
+    | 0 -> edit_nth xs (fun e -> [ ("Z", 1); e ])
+    | 1 -> edit_nth xs (fun (d, _) -> [ (d, pick [ 0; -1; -4 ]) ])
+    | 2 -> edit_nth xs (fun _ -> [])
+    | 3 -> edit_nth xs (fun e -> [ e; e ])
+    | 4 -> edit_nth xs (fun (d, f) -> [ (d, f * pick [ 2; 3 ]) ])
+    | _ -> edit_nth xs (fun (_, f) -> [ (pick wdims, f) ])
+  in
+  let mutate_order xs =
+    match Random.State.int st 5 with
+    | 0 -> edit_nth xs (fun _ -> [])
+    | 1 -> xs @ [ pick wdims ]
+    | 2 -> edit_nth xs (fun _ -> [ pick wdims ])
+    | 3 -> edit_nth xs (fun d -> [ d; "Z" ])
+    | _ -> xs @ xs
+  in
+  for _ = 1 to Random.State.int st 4 do
+    if nlevels > 0 then begin
+      let l = Random.State.int st nlevels in
+      let lm = levels.(l) in
+      levels.(l) <-
+        (match Random.State.int st 3 with
+        | 0 -> { lm with M.temporal = mutate_factors lm.M.temporal }
+        | 1 -> { lm with M.spatial = mutate_factors lm.M.spatial }
+        | _ -> { lm with M.order = mutate_order lm.M.order })
+    end
+  done;
+  (w, Array.to_list levels)
+
+let print_level_list (w, levels) =
+  let assoc xs = String.concat "," (List.map (fun (d, f) -> Printf.sprintf "%s%d" d f) xs) in
+  w.W.name ^ ": "
+  ^ String.concat " ; "
+      (List.map
+         (fun (lm : M.level_mapping) ->
+           Printf.sprintf "t[%s] o[%s] s[%s]" (assoc lm.M.temporal) (String.concat "," lm.M.order)
+             (assoc lm.M.spatial))
+         levels)
+
 let qcheck_props =
   let open QCheck in
   let factor_split n =
@@ -197,6 +341,14 @@ let qcheck_props =
           (fun op ->
             M.footprint_at w m ~level:0 op <= M.footprint_at w m ~level:1 op)
           w.W.operands);
+    Test.make ~name:"Mapping.make = frozen list-based validate" ~count:2000
+      (make ~print:print_level_list gen_level_list)
+      (fun (w, levels) ->
+        match (M.make w levels, Mapping_ref.validate w levels) with
+        | Ok m, Ok arr -> m.M.levels = arr
+        | Error a, Error b -> String.equal a b || Test.fail_reportf "got %S, want %S" a b
+        | Ok _, Error b -> Test.fail_reportf "accepted, want %S" b
+        | Error a, Ok _ -> Test.fail_reportf "rejected with %S, want Ok" a);
   ]
 
 let () =

@@ -422,6 +422,68 @@ let test_refine_no_build_errors () =
       ("inception/3x3_stem/simba", registry "inception/3x3_stem", P.simba_like);
     ]
 
+(* Search golden: every ResNet-18 and Inception-v3 registry layer plus the
+   four sparse tensor layers, on simba and conventional, must reproduce the
+   committed fixture line for line — EDP and energy as float bits, the
+   [Optimizer.stats] counts and a digest of the mapping. A drift in
+   candidate dedup, beam keys or completion changes some line here. On a
+   mismatch the full actual listing is written next to the test binary as
+   [search_golden.actual]. *)
+let golden_searches () =
+  let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p in
+  let dnn =
+    List.filter
+      (fun (n, _) -> has_prefix "resnet18/" n || has_prefix "inception/" n)
+      (Sun_serve.Registry.workloads ())
+  in
+  let tensor =
+    List.map
+      (fun n ->
+        match Sun_serve.Registry.find_workload n with Ok w -> (n, w) | Error m -> failwith m)
+      [ "mttkrp/netflix"; "ttmc/netflix"; "sddmm/bcsstk17"; "sddmm/cant" ]
+  in
+  List.concat_map
+    (fun arch_name ->
+      let arch =
+        match Sun_serve.Registry.find_arch arch_name with Ok a -> a | Error m -> failwith m
+      in
+      List.map (fun (n, w) -> (n ^ "@" ^ arch_name, w, arch)) (dnn @ tensor))
+    [ "simba"; "conventional" ]
+
+let golden_line (label, w, arch) =
+  match Opt.optimize w arch with
+  | Error msg -> Printf.sprintf "%s error=%s" label msg
+  | Ok r ->
+    let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+    let s = r.Opt.stats in
+    Printf.sprintf
+      "%s edp=%s energy=%s examined=%d evaluated=%d pruned=%d build_errors=%d eval_errors=%d \
+       mapping=%s"
+      label (bits r.Opt.cost.Model.edp) (bits r.Opt.cost.Model.energy_pj) s.Opt.examined
+      s.Opt.evaluated s.Opt.pruned_alpha_beta s.Opt.build_errors s.Opt.eval_errors
+      (Digest.to_hex (Digest.string (M.to_string r.Opt.mapping)))
+
+let test_search_golden () =
+  let expected =
+    In_channel.with_open_text "fixtures/search_golden.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let actual = List.map golden_line (golden_searches ()) in
+  if actual <> expected then begin
+    Out_channel.with_open_text "search_golden.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff = function
+      | e :: es, a :: as_ ->
+        if e = a then first_diff (es, as_) else Printf.sprintf "want %s\n got %s" e a
+      | e :: _, [] -> "missing " ^ e
+      | [], a :: _ -> "extra " ^ a
+      | [], [] -> "?"
+    in
+    Alcotest.failf "search golden drifted (%d lines want, %d got); first difference:\n%s"
+      (List.length expected) (List.length actual) (first_diff (expected, actual))
+  end
+
 (* Table VI: the intra-level optimization order barely affects mapping
    quality on realistic layers (tiles cannot saturate the large channel
    dimensions, so every variant reaches comparable unrollings). *)
@@ -586,6 +648,7 @@ let () =
           Alcotest.test_case "refine produces no build errors" `Quick test_refine_no_build_errors;
           Alcotest.test_case "top-down variant" `Quick test_top_down_works;
           Alcotest.test_case "intra-level orders" `Quick test_intra_orders_same_quality;
+          Alcotest.test_case "search golden (registry layers)" `Quick test_search_golden;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
